@@ -1,7 +1,7 @@
 // datacenter_day — the live-migration "datacenter day" drill.
 //
 // One simulated day of serving on a real data plane: a LiveCluster lays
-// every shard's segment file out on per-machine directories, a live-mode
+// every shard's segment file out on per-machine directories, a
 // QueryBroker serves diurnally modulated Zipf traffic from those files,
 // and each daytime epoch the controller replans from *observed* load and
 // the MigrationExecutor physically moves segment files — bandwidth-
@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   };
   const Instance instance = makeInstance(plannedCpu, initial);
 
-  // -- Live data plane + live-mode broker ---------------------------------
+  // -- Live data plane + broker over the segment indexes -------------------
   std::string rootDir = flags.str("dir");
   const bool ownDir = rootDir.empty();
   if (ownDir) {

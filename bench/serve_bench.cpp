@@ -115,7 +115,8 @@ PhaseOutcome runPhase(const std::string& name, const Instance& instance,
 }
 
 /// Closed-loop (unpaced, no deadline) replay of the trace measuring raw
-/// broker throughput with request-scoped tracing on or off — the tracing
+/// broker throughput with request-scoped tracing on or off (the trace
+/// registry is switched to `tracing` for the replay) — the tracing
 /// overhead guard. Open-loop phases can't show this: their rate is fixed
 /// by the arrival schedule.
 double closedLoopQps(const Instance& instance, const std::vector<MachineId>& mapping,
@@ -129,7 +130,7 @@ double closedLoopQps(const Instance& instance, const std::vector<MachineId>& map
   config.servicePerPostingSeconds = 0.0;
   config.cacheCapacity = 0;
   config.sloClass.clear();
-  config.tracing = tracing;
+  obs::TraceRegistry::global().setEnabled(tracing);
   serve::QueryBroker broker(instance, mapping, index, config);
   const std::size_t totalQueries = trace.size() * reps;
   WallTimer timer;
@@ -223,7 +224,8 @@ int main(int argc, char** argv) {
               "exit nonzero unless SRA beats greedy p99 (ObservedLoad and "
               "SLO-window views both)")
       .define("tracing", "true",
-              "request-scoped tracing during the serving phases")
+              "request-scoped tracing during the serving phases (the "
+              "introspection plane turns it on too)")
       .define("obs-port", "-1",
               "HTTP introspection port (0 = ephemeral, -1 = off)")
       .define("overhead-reps", "4",
@@ -418,13 +420,13 @@ int main(int argc, char** argv) {
   serveConfig.servicePerPostingSeconds = servicePerPosting;
   serveConfig.cacheCapacity = static_cast<std::size_t>(flags.integer("cache"));
   serveConfig.seed = seed;
-  serveConfig.tracing = flags.boolean("tracing");
+  const bool tracing = flags.boolean("tracing");
   // Every phase's samples must stay inside the sliding window for the
   // SLO-based check to see the whole phase.
   serveConfig.slo.windowSeconds = 600.0;
   serveConfig.slo.bucketSeconds = 5.0;
   serveConfig.slo.p99TargetSeconds = deadlineSeconds;
-  if (serveConfig.tracing) obs::TraceRegistry::global().setEnabled(true);
+  if (tracing) obs::TraceRegistry::global().setEnabled(true);
 
   const auto obsPort = static_cast<int>(flags.integer("obs-port"));
   obs::IntrospectionSources sources;
@@ -489,7 +491,6 @@ int main(int argc, char** argv) {
   double qpsTracingOff = 0.0, qpsTracingOn = 0.0;
   const auto overheadReps = static_cast<std::size_t>(flags.integer("overhead-reps"));
   if (overheadReps > 0) {
-    obs::TraceRegistry::global().setEnabled(true);
     // Untimed warmup so neither arm pays one-time costs (worker arenas,
     // page faults) and the comparison isolates the per-span price.
     closedLoopQps(instance, sraResult.finalMapping, index, trace, serveConfig,
@@ -555,7 +556,7 @@ int main(int argc, char** argv) {
   writePhase(json, observedPhase);
   json.endObject();
   json.field("sra_p99_beats_greedy", sraPhase.load.p99 < greedyPhase.load.p99);
-  json.field("tracing", serveConfig.tracing);
+  json.field("tracing", tracing);
   if (overheadReps > 0) {
     json.field("tracing_off_qps", qpsTracingOff);
     json.field("tracing_on_qps", qpsTracingOn);

@@ -4,7 +4,7 @@
 // queue-poisoning deadline sheds.
 //
 // Design. One small skewed partitioned index served by the multi-threaded
-// QueryBroker in tenant mode, with the same two reproducibility levers as
+// QueryBroker with configured tenants, with the same two reproducibility levers as
 // serve_bench: deterministic service pacing (each task holds its machine
 // busy for fixed + per-posting seconds) and open-loop arrivals (clients
 // replay a shared trace on a fixed schedule). Two tenants:
@@ -97,7 +97,7 @@ std::string liveBrokerJson(std::string (resex::serve::QueryBroker::*fn)() const)
   return gLiveBroker ? (gLiveBroker->*fn)() : std::string("{}");
 }
 
-/// Replays the shared trace through a tenant-mode broker: each stream's
+/// Replays the shared trace through a multi-tenant broker: each stream's
 /// clients pull query i from a per-stream cursor and issue it at
 /// phaseStart + i/qps (immediately when behind). Per-phase SLO classes
 /// ("<phase>.<tenant>") keep the global registry's windows distinct
@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
               hot * 1e3, interactiveQps, flags.real("interactive-rho"), batchQps,
               flags.real("batch-burst-x"), batchFairQps);
 
-  // -- Tenant-mode serving config ------------------------------------------
+  // -- Multi-tenant serving config -----------------------------------------
   serve::TenantSpec interactive;
   interactive.name = "interactive";
   interactive.weight = 16.0;

@@ -80,7 +80,6 @@ void serveDemo(const resex::PartitionedIndex& index,
     // The introspection plane only earns its keep with live data behind
     // it: turn on request-scoped tracing and SLO tracking for the demo.
     obs::TraceRegistry::global().setEnabled(true);
-    config.tracing = true;
     config.sloClass = "interactive";
   }
   serve::QueryBroker broker(instance, mapping, index, config);

@@ -7,12 +7,21 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/router.hpp"
+#include "util/histogram.hpp"
 #include "util/json_writer.hpp"
 
 namespace resex::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Lock shards of the result cache.
+constexpr std::size_t kCacheShards = 8;
+/// Geometry of every window latency histogram; shared so the per-tenant
+/// histograms merge exactly into the broker-wide one.
+constexpr double kLatencyFloorSeconds = 1e-6;
+constexpr int kLatencySubBuckets = 12;
 
 double secondsBetween(Clock::time_point from, Clock::time_point to) noexcept {
   return std::chrono::duration<double>(to - from).count();
@@ -129,7 +138,8 @@ struct QueryBroker::MachineStats {
 /// Per-tenant window accumulators. Counters are atomics (written from
 /// client and worker threads); the latency histogram covers served queries
 /// only — rejections appear in the rejection counters and the tenant's SLO
-/// error rate, never as latency samples.
+/// error rate, never as latency samples. Every tenant's histogram has the
+/// same geometry, so the broker-wide quantiles are their exact merge.
 struct QueryBroker::TenantStats {
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> cacheHits{0};
@@ -141,14 +151,13 @@ struct QueryBroker::TenantStats {
   std::atomic<std::uint64_t> postings{0};
   std::atomic<std::uint64_t> busyNanos{0};
   std::mutex mutex;  ///< guards latency
-  LatencyHistogram latency{1e-6, 12};
+  LatencyHistogram latency{kLatencyFloorSeconds, kLatencySubBuckets};
 };
 
 QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mapping,
                          const PartitionedIndex& index, ServeConfig config,
                          std::vector<std::shared_ptr<const InvertedIndex>> liveShards)
-    : index_(index), config_(config),
-      cache_(config.cacheCapacity, config.cacheShards) {
+    : index_(index), config_(config), cache_(config.cacheCapacity, kCacheShards) {
   const std::size_t n = instance.shardCount();
   const std::size_t m = instance.machineCount();
   if (mapping.size() != n)
@@ -160,8 +169,6 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
     for (const auto& idx : liveShards)
       if (!idx)
         throw std::invalid_argument("QueryBroker: null live shard index");
-    liveMode_ = true;
-    liveShards_ = std::move(liveShards);
   }
   partitionCount_ = index.shardCount();
   if (instance.replicaGroupCount() != partitionCount_)
@@ -175,17 +182,27 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
     if (mapping[s] >= m)
       throw std::invalid_argument("QueryBroker: mapping machine out of range");
   }
+  // Without live shards the table points into the shared partitions; the
+  // empty owner makes those entries non-owning, so copying them per task
+  // touches no reference count.
+  shardIndexes_ = std::move(liveShards);
+  if (shardIndexes_.empty())
+    for (ShardId s = 0; s < n; ++s)
+      shardIndexes_.emplace_back(std::shared_ptr<const InvertedIndex>(),
+                                 &index.shard(groupOf_[s]));
 
-  // Tenant table: the configured query classes, or one implicit class in
-  // legacy mode — which keeps the fair-share queues degenerate FIFOs and
-  // skips token admission and per-tenant SLO registration entirely.
-  tenantMode_ = !config_.tenants.empty();
-  if (tenantMode_) {
-    registry_ = TenantRegistry(config_.tenants);
-  } else {
+  // Tenant table: the configured query classes, or one implicit "default"
+  // class — which keeps the fair-share queues degenerate FIFOs and skips
+  // token admission.
+  const bool implicitTenant = config_.tenants.empty();
+  if (implicitTenant) {
     TenantSpec implicit;
     implicit.name = "default";
+    implicit.sloClass = config_.sloClass;
+    implicit.slo = config_.slo;
     registry_ = TenantRegistry({std::move(implicit)});
+  } else {
+    registry_ = TenantRegistry(config_.tenants);
   }
 
   queues_.reserve(m);
@@ -205,16 +222,13 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
   mapping_ = std::move(mapping);
   rebuildHosts(mapping_);
 
-  if (!config_.sloClass.empty())
-    slo_ = &obs::SloRegistry::global().window(config_.sloClass, config_.slo);
-  if (tenantMode_) {
-    tenantSlos_.reserve(registry_.count());
+  // Configured tenants always get an SLO window; the implicit one only
+  // when ServeConfig::sloClass names it.
+  tenantSlos_.assign(registry_.count(), nullptr);
+  if (!implicitTenant || !config_.sloClass.empty())
     for (TenantId t = 0; t < registry_.count(); ++t)
-      tenantSlos_.push_back(&obs::SloRegistry::global().window(
-          registry_.sloClassOf(t), registry_.spec(t).slo));
-  }
-  if (config_.tracing)
-    obs::TraceRegistry::global().setKeepSlowestOf(config_.traceKeepSlowestOf);
+      tenantSlos_[t] = &obs::SloRegistry::global().window(registry_.sloClassOf(t),
+                                                          registry_.spec(t).slo);
 
   // Worker pools scaled by CPU capacity: the largest machine gets
   // `workersPerMachine`, the rest proportionally fewer (min 1).
@@ -232,7 +246,7 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
 
   // Execution-slot tokens scale with each machine's worker pool, so
   // admission sees the same capacity skew routing does.
-  if (tenantMode_) {
+  if (!implicitTenant) {
     std::vector<std::uint32_t> slots(m);
     for (std::size_t i = 0; i < m; ++i)
       slots[i] = std::max<std::uint32_t>(
@@ -242,7 +256,8 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
     bank_ = std::make_unique<TokenBank>(std::move(slots), registry_);
   }
 
-  windowStart_ = Clock::now();
+  windowStart_.store(Clock::now().time_since_epoch().count(),
+                     std::memory_order_relaxed);
   accepting_.store(true, std::memory_order_release);
   timerThread_ = std::thread([this] { timerLoop(); });
   for (std::size_t i = 0; i < m; ++i)
@@ -299,9 +314,9 @@ std::shared_ptr<const InvertedIndex> QueryBroker::applyShardMove(
     rebuildHosts(mapping_);
   }
   std::shared_ptr<const InvertedIndex> old;
-  if (liveMode_ && replacement) {
-    std::unique_lock lock(liveMutex_);
-    old = std::exchange(liveShards_[shard], std::move(replacement));
+  if (replacement) {
+    std::unique_lock lock(shardIndexMutex_);
+    old = std::exchange(shardIndexes_[shard], std::move(replacement));
   }
   // Only this shard's cached results lose coherence; the swap above already
   // routes new tasks to the destination copy.
@@ -400,7 +415,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
   obs::TraceContext rootCtx;
   std::uint32_t rootSpanId = 0;
   std::uint64_t rootStartUs = 0;
-  if (config_.tracing && obs::TraceRegistry::enabled()) {
+  if (obs::TraceRegistry::enabled()) {
     const obs::TraceContext trace = obs::TraceRegistry::global().startTrace();
     if (trace.active()) {
       rootSpanId = obs::TraceRegistry::global().nextSpanId();
@@ -418,19 +433,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     cacheHits_.fetch_add(1, std::memory_order_relaxed);
     tstats.cacheHits.fetch_add(1, std::memory_order_relaxed);
     cacheHitCounter().add();
-    {
-      std::lock_guard lock(latencyMutex_);
-      latency_.add(result.latencySeconds);
-    }
-    latencyHistogram().observe(result.latencySeconds * 1e6);
-    if (slo_) slo_->record(result.latencySeconds, false);
-    if (tenantMode_) {
-      {
-        std::lock_guard lock(tstats.mutex);
-        tstats.latency.add(result.latencySeconds);
-      }
-      tenantSlos_[tenant]->record(result.latencySeconds, false);
-    }
+    recordServed(tenant, result.latencySeconds, /*error=*/false);
     finishQueryTrace(rootCtx, rootSpanId, rootStartUs, result);
     completion(std::move(result));
     return true;
@@ -454,8 +457,8 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
   pending->rootSpanId = rootSpanId;
   pending->rootStartUs = rootStartUs;
 
-  // Route and enqueue one task per partition. In tenant mode routing *is*
-  // token admission: the query acquires one execution-slot token per
+  // Route and enqueue one task per partition. With token admission routing
+  // *is* admission: the query acquires one execution-slot token per
   // partition (each greedily bound to the freest hosting machine) and a
   // rejection returns immediately — over-share traffic is turned away here
   // instead of poisoning the shared queues and being shed worker-side.
@@ -468,7 +471,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     obs::ScopedSpan routeSpan(rootCtx, "query.route");
     std::shared_lock lock(mappingMutex_);
     std::vector<std::uint32_t> tokenPicks;
-    if (tenantMode_)
+    if (bank_)
       verdict = bank_->acquire(
           tenant, std::span<const std::vector<ReplicaHost>>(hosts_), tokenPicks);
     if (verdict == Admission::kAdmitted) {
@@ -478,15 +481,14 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
         const auto& hosts = hosts_[g];
         std::size_t pick;
         std::size_t depthAtPick;
-        if (tenantMode_) {
+        if (bank_) {
           pick = tokenPicks[g];
           depthAtPick = queues_[hosts[pick].first]->size();
         } else {
           depths.clear();
           for (const auto& [mach, shard] : hosts)
             depths.push_back(queues_[mach]->size());
-          pick = chooseReplica(config_.routing, std::span<const std::size_t>(depths),
-                               rng);
+          pick = chooseReplica(std::span<const std::size_t>(depths), rng);
           depthAtPick = depths[pick];
         }
         peakDepthGauge().max(static_cast<double>(depthAtPick));
@@ -512,14 +514,14 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
         if (!ok) {
           ++missedPushes;
           // The task never reached a worker, so its token returns here.
-          if (tenantMode_) bank_->release(tenant, mach);
+          if (bank_) bank_->release(tenant, mach);
         }
       }
     }
     if (routeSpan.active()) {
       routeSpan.arg("partitions", static_cast<double>(partitionCount_));
       routeSpan.arg("missed_pushes", static_cast<double>(missedPushes));
-      if (tenantMode_)
+      if (bank_)
         routeSpan.arg("admitted", verdict == Admission::kAdmitted ? 1.0 : 0.0);
     }
   }
@@ -590,25 +592,23 @@ void QueryBroker::deliver(const std::shared_ptr<PendingQuery>& pending,
     cache_.put(ResultKey{pending->terms, pending->k}, result.docs,
                pending->servedBy);
   }
-  {
-    std::lock_guard lock(latencyMutex_);
-    latency_.add(result.latencySeconds);
-  }
-  latencyHistogram().observe(result.latencySeconds * 1e6);
-  if (slo_) slo_->record(result.latencySeconds, !result.complete);
-  if (tenantMode_) {
-    {
-      std::lock_guard lock(tstats.mutex);
-      tstats.latency.add(result.latencySeconds);
-    }
-    tenantSlos_[pending->tenant]->record(result.latencySeconds, !result.complete);
-  }
+  recordServed(pending->tenant, result.latencySeconds, !result.complete);
   finishQueryTrace(pending->rootCtx, pending->rootSpanId, pending->rootStartUs,
                    result);
   // The completion runs outside every broker lock; it may re-enter the
   // broker (a pipelined client submitting its next query inline).
   QueryCompletion completion = std::move(pending->completion);
   completion(std::move(result));
+}
+
+void QueryBroker::recordServed(TenantId tenant, double latencySeconds, bool error) {
+  TenantStats& tstats = *tenantStats_[tenant];
+  {
+    std::lock_guard lock(tstats.mutex);
+    tstats.latency.add(latencySeconds);
+  }
+  latencyHistogram().observe(latencySeconds * 1e6);
+  if (obs::SloWindow* slo = tenantSlos_[tenant]) slo->record(latencySeconds, error);
 }
 
 void QueryBroker::armDeadline(std::shared_ptr<PendingQuery> pending) {
@@ -712,20 +712,18 @@ void QueryBroker::workerLoop(std::size_t machine) {
                      static_cast<double>(task.depthAtDispatch));
       }
       if (run) {
-        // Live mode serves the physical shard's segment-backed index; the
-        // shared_ptr copied here keeps it alive through execution even if a
-        // cutover swaps the table entry mid-task (drain-by-refcount).
-        // Global statistics always come from the partitioned index, so
-        // scores are bit-identical in both modes.
-        std::shared_ptr<const InvertedIndex> liveIndex;
-        if (liveMode_) {
-          std::shared_lock liveLock(liveMutex_);
-          liveIndex = liveShards_[task.physicalShard];
+        // The shared_ptr copied here keeps the physical shard's index alive
+        // through execution even if a cutover swaps the table entry
+        // mid-task (drain-by-refcount). Global statistics always come from
+        // the partitioned index, so scores are bit-identical whichever
+        // index serves the shard.
+        std::shared_ptr<const InvertedIndex> shardIndex;
+        {
+          std::shared_lock lock(shardIndexMutex_);
+          shardIndex = shardIndexes_[task.physicalShard];
         }
-        const InvertedIndex& shardIndex =
-            liveIndex ? *liveIndex : index_.shard(task.partition);
         const auto topDocs =
-            topKDisjunctiveInto(shardIndex, pending.terms,
+            topKDisjunctiveInto(*shardIndex, pending.terms,
                                 pending.k, config_.bm25, scratch, &exec,
                                 &index_.globalStats());
         partial.assign(topDocs.begin(), topDocs.end());
@@ -778,7 +776,7 @@ void QueryBroker::workerLoop(std::size_t machine) {
 
     // The execution slot returns to this machine the moment the work (or
     // the shed) is done, so admission sees capacity again before delivery.
-    if (tenantMode_) bank_->release(task.tenant, static_cast<MachineId>(machine));
+    if (bank_) bank_->release(task.tenant, static_cast<MachineId>(machine));
 
     // Stats land before delivery so a client observing its result's
     // completion also observes the work accounted (snapshot consistency
@@ -816,19 +814,12 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
   out.shardTasks.resize(n);
   out.shardPostings.resize(n);
   out.shardBusySeconds.resize(n);
-  {
-    std::lock_guard lock(latencyMutex_);
-    const auto now = Clock::now();
-    out.windowSeconds = secondsBetween(windowStart_, now);
-    out.p50 = latency_.quantile(0.50);
-    out.p95 = latency_.quantile(0.95);
-    out.p99 = latency_.quantile(0.99);
-    out.meanLatency = latency_.meanValue();
-    if (resetWindow) {
-      windowStart_ = now;
-      latency_ = LatencyHistogram{1e-6, 12};
-    }
-  }
+  const auto now = Clock::now();
+  const Clock::rep nowTicks = now.time_since_epoch().count();
+  const Clock::rep startTicks =
+      resetWindow ? windowStart_.exchange(nowTicks, std::memory_order_relaxed)
+                  : windowStart_.load(std::memory_order_relaxed);
+  out.windowSeconds = secondsBetween(Clock::time_point(Clock::duration(startTicks)), now);
   for (std::size_t i = 0; i < m; ++i) {
     MachineStats& stats = *machineStats_[i];
     std::lock_guard lock(stats.mutex);
@@ -856,31 +847,33 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
   out.cacheHits = harvest(cacheHits_);
   out.expiredQueries = harvest(expiredQueries_);
   out.shedTasks = harvest(shedTasks_);
-  if (tenantMode_) {
-    out.tenants.resize(registry_.count());
-    for (std::size_t t = 0; t < registry_.count(); ++t) {
-      TenantStats& ts = *tenantStats_[t];
-      ObservedLoad::TenantLoad& tl = out.tenants[t];
-      tl.name = registry_.spec(static_cast<TenantId>(t)).name;
-      tl.queries = harvest(ts.queries);
-      tl.cacheHits = harvest(ts.cacheHits);
-      tl.rejectedOverShare = harvest(ts.rejectedOverShare);
-      tl.rejectedNoToken = harvest(ts.rejectedNoToken);
-      tl.expiredQueries = harvest(ts.expiredQueries);
-      tl.shedTasks = harvest(ts.shedTasks);
-      tl.tasks = harvest(ts.tasks);
-      tl.postings = harvest(ts.postings);
-      tl.busySeconds = static_cast<double>(harvest(ts.busyNanos)) * 1e-9;
-      {
-        std::lock_guard lock(ts.mutex);
-        tl.p50 = ts.latency.quantile(0.50);
-        tl.p95 = ts.latency.quantile(0.95);
-        tl.p99 = ts.latency.quantile(0.99);
-        tl.meanLatency = ts.latency.meanValue();
-        if (resetWindow) ts.latency = LatencyHistogram{1e-6, 12};
-      }
-    }
+  LatencyHistogram merged{kLatencyFloorSeconds, kLatencySubBuckets};
+  out.tenants.resize(registry_.count());
+  for (std::size_t t = 0; t < registry_.count(); ++t) {
+    TenantStats& ts = *tenantStats_[t];
+    ObservedLoad::TenantLoad& tl = out.tenants[t];
+    tl.name = registry_.spec(static_cast<TenantId>(t)).name;
+    tl.queries = harvest(ts.queries);
+    tl.cacheHits = harvest(ts.cacheHits);
+    tl.rejectedOverShare = harvest(ts.rejectedOverShare);
+    tl.rejectedNoToken = harvest(ts.rejectedNoToken);
+    tl.expiredQueries = harvest(ts.expiredQueries);
+    tl.shedTasks = harvest(ts.shedTasks);
+    tl.tasks = harvest(ts.tasks);
+    tl.postings = harvest(ts.postings);
+    tl.busySeconds = static_cast<double>(harvest(ts.busyNanos)) * 1e-9;
+    std::lock_guard lock(ts.mutex);
+    tl.p50 = ts.latency.quantile(0.50);
+    tl.p95 = ts.latency.quantile(0.95);
+    tl.p99 = ts.latency.quantile(0.99);
+    tl.meanLatency = ts.latency.meanValue();
+    merged.merge(ts.latency);
+    if (resetWindow) ts.latency.reset();
   }
+  out.p50 = merged.quantile(0.50);
+  out.p95 = merged.quantile(0.95);
+  out.p99 = merged.quantile(0.99);
+  out.meanLatency = merged.meanValue();
   return out;
 }
 
@@ -954,17 +947,14 @@ std::string QueryBroker::shardsJson() const {
 }
 
 std::string QueryBroker::tenantsJson() const {
+  const ObservedLoad load = peekObservedLoad();
   JsonWriter json;
   json.beginObject();
-  json.field("tenant_mode", tenantMode_);
-  if (!tenantMode_) {
-    json.endObject();
-    return json.str();
-  }
-  const ObservedLoad load = peekObservedLoad();
   json.field("window_seconds", load.windowSeconds);
-  json.field("total_tokens", bank_->totalTokens());
-  json.field("free_tokens", bank_->freeTokens());
+  if (bank_) {
+    json.field("total_tokens", bank_->totalTokens());
+    json.field("free_tokens", bank_->freeTokens());
+  }
   json.key("tenants").beginArray();
   for (std::size_t t = 0; t < registry_.count(); ++t) {
     const auto id = static_cast<TenantId>(t);
@@ -976,10 +966,11 @@ std::string QueryBroker::tenantsJson() const {
     json.field("weight", spec.weight);
     json.field("guaranteed_share", spec.guaranteedShare);
     json.field("burst_limit", spec.burstLimit);
-    json.field("slo_class", registry_.sloClassOf(id));
-    json.field("held_tokens", bank_->heldBy(id));
-    json.field("entitled_tokens", bank_->entitled(id));
-    json.field("cap_tokens", bank_->cap(id));
+    if (bank_) {
+      json.field("held_tokens", bank_->heldBy(id));
+      json.field("entitled_tokens", bank_->entitled(id));
+      json.field("cap_tokens", bank_->cap(id));
+    }
     json.field("queries", tl.queries);
     json.field("cache_hits", tl.cacheHits);
     json.field("rejected_over_share", tl.rejectedOverShare);
@@ -993,16 +984,19 @@ std::string QueryBroker::tenantsJson() const {
     json.field("p95_seconds", tl.p95);
     json.field("p99_seconds", tl.p99);
     json.field("mean_seconds", tl.meanLatency);
-    const obs::SloSnapshot slo = tenantSlos_[t]->snapshot();
-    json.key("slo").beginObject();
-    json.field("objective", slo.objective);
-    json.field("total", slo.total);
-    json.field("errors", slo.errors);
-    json.field("error_rate", slo.errorRate);
-    json.field("burn_rate", slo.burnRate);
-    json.field("p99_seconds", slo.p99);
-    json.field("latency_breaches", slo.latencyBreaches);
-    json.endObject();
+    if (const obs::SloWindow* window = tenantSlos_[t]) {
+      const obs::SloSnapshot slo = window->snapshot();
+      json.field("slo_class", registry_.sloClassOf(id));
+      json.key("slo").beginObject();
+      json.field("objective", slo.objective);
+      json.field("total", slo.total);
+      json.field("errors", slo.errors);
+      json.field("error_rate", slo.errorRate);
+      json.field("burn_rate", slo.burnRate);
+      json.field("p99_seconds", slo.p99);
+      json.field("latency_breaches", slo.latencyBreaches);
+      json.endObject();
+    }
     json.endObject();
   }
   json.endArray();

@@ -6,20 +6,23 @@
 // one machine as one bounded work queue plus a worker pool sized by the
 // machine's CPU capacity; a query scatter-gathers over every logical
 // partition, each partition task routed to one hosting replica by live
-// queue depth (see router.hpp), and completes when all partitions answer —
+// queue depth (see router.hpp) or, with token admission, by the token
+// bank's binding (see tenant.hpp), and completes when all partitions answer —
 // or when its deadline expires, in which case the client gets the merged
 // partial from whatever partitions made it (degraded, never blocked).
 //
-// Life of a query (execute() is called concurrently by client threads):
+// Life of a query (submit() is called concurrently by client threads;
+// execute() is submit() plus a wait):
 //   1. result-cache probe (sharded LRU; complete results only);
 //   2. route: per partition, pick a hosting machine from live queue
 //      depths; enqueue a task (bounded push — backpressure; with a
 //      deadline the push itself gives up at the deadline);
 //   3. workers pop tasks, skip ones whose query already expired (load
-//      shedding), otherwise run BM25 top-k over the partition's inverted
-//      index with global statistics and deliver the partial;
-//   4. the client thread waits on the query's condition variable until
-//      all partitions answered or the deadline passed; merges partials.
+//      shedding), otherwise run BM25 top-k over the physical shard's
+//      inverted index with global statistics and record the partial;
+//   4. delivery is push-based: the worker that answers the last partition
+//      — or the deadline timer thread, with whatever partials arrived —
+//      merges them and invokes the query's completion exactly once.
 //
 // Shutdown: queues reject new work but drain what was accepted, so every
 // in-flight query's remaining-count reaches zero — clean join, no orphan
@@ -52,9 +55,7 @@
 #include "obs/slo.hpp"
 #include "serve/fair_share.hpp"
 #include "serve/lru_cache.hpp"
-#include "serve/router.hpp"
 #include "serve/tenant.hpp"
-#include "util/histogram.hpp"
 
 namespace resex::serve {
 
@@ -69,7 +70,6 @@ struct ServeConfig {
   /// capacity[0] relative to the largest (min 1). Homogeneous clusters get
   /// exactly this many workers per machine.
   std::size_t workersPerMachine = 1;
-  RoutingPolicy routing = RoutingPolicy::kPowerOfTwo;
   /// Emulated service pacing: when either is > 0, a worker holds its
   /// machine busy until `serviceFixedSeconds +
   /// postingsScanned * servicePerPostingSeconds` have elapsed since it
@@ -81,38 +81,33 @@ struct ServeConfig {
   /// supposed to be cheap). Zero disables pacing.
   double serviceFixedSeconds = 0.0;
   double servicePerPostingSeconds = 0.0;
-  /// Total result-cache entries (0 disables) and its lock shards.
+  /// Total result-cache entries (0 disables).
   std::size_t cacheCapacity = 0;
-  std::size_t cacheShards = 8;
   Bm25Params bm25;
   std::uint64_t seed = 1;
-  /// Request-scoped tracing: when true (and obs::TraceRegistry is
-  /// enabled), every query gets a TraceContext propagated through its
-  /// queue tasks, producing a span tree — route, per-partition queue wait
-  /// and execution (ExecStats as span args), merge — tail-sampled at
-  /// retire: degraded/shed/deadline-missed queries always kept, plus the
-  /// slowest ~1/traceKeepSlowestOf of the rest.
-  bool tracing = false;
-  std::uint32_t traceKeepSlowestOf = 64;
-  /// When non-empty, every query outcome is recorded into the globally
-  /// registered obs::SloRegistry window of this name (latency + error =
-  /// degraded/cancelled), making the broker a live SLO source.
+  /// SLO class of the implicit "default" tenant (used when `tenants` is
+  /// empty): when non-empty, every query outcome is recorded into the
+  /// globally registered obs::SloRegistry window of this name (latency +
+  /// error = degraded), making the broker a live SLO source. Configured
+  /// tenants name their own classes in their TenantSpec.
   std::string sloClass;
   obs::SloConfig slo;
-  /// Multi-tenant mode: the query classes this broker serves, each with a
-  /// fair-share weight, token guarantee/burst cap, and its own SLO class
-  /// (see tenant.hpp). Empty = legacy single-class serving: one implicit
-  /// tenant, no admission control, `routing`-policy replica choice, FIFO
-  /// dispatch. Non-empty replaces FIFO with hierarchical fair-share
-  /// ordering across tenant sub-queues and routes by greedy token
-  /// assignment (`routing` is ignored); execute() calls then identify
-  /// their tenant by id (registration order).
+  /// The query classes this broker serves, each with a fair-share weight,
+  /// token guarantee/burst cap, and its own SLO class (see tenant.hpp);
+  /// submit() calls identify their tenant by id (registration order). A
+  /// non-empty list turns on token admission: a query acquires one
+  /// execution-slot token per partition before it is queued, and the
+  /// token bank binds each partition to its replica. Empty = one implicit
+  /// "default" tenant, no admission, power-of-two-choices replica choice.
+  /// Either way tasks dispatch in hierarchical fair-share order across
+  /// tenant sub-queues (FIFO with one tenant), and every tenant —
+  /// the implicit one included — is accounted the same way.
   std::vector<TenantSpec> tenants;
-  /// Execution-slot tokens per worker thread (tenant mode only): machine m
-  /// contributes workers(m) * tokensPerWorker tokens, bounding its
-  /// in-flight tasks at admission. 1.0 admits no queueing at all; larger
-  /// values allow a bounded backlog inside which fair-share ordering
-  /// operates.
+  /// Execution-slot tokens per worker thread (with token admission):
+  /// machine m contributes workers(m) * tokensPerWorker tokens, bounding
+  /// its in-flight tasks at admission. 1.0 admits no queueing at all;
+  /// larger values allow a bounded backlog inside which fair-share
+  /// ordering operates.
   double tokensPerWorker = 4.0;
 };
 
@@ -125,12 +120,13 @@ struct QueryResult {
   bool cacheHit = false;
   /// The broker was shutting down; no work was attempted.
   bool cancelled = false;
-  /// Token admission turned the query away (tenant mode only): the tenant
-  /// was over its share, or no machine had a free execution slot. No work
-  /// was attempted; counted against the tenant's SLO but not its latency
-  /// quantiles (which cover served queries only).
+  /// Token admission turned the query away (only when tenants are
+  /// configured): the tenant was over its share, or no machine had a free
+  /// execution slot. No work was attempted; counted against the tenant's
+  /// SLO but not its latency quantiles (which cover served queries only).
   bool rejected = false;
-  /// Which tenant the query was accounted to (0 in legacy mode).
+  /// Which tenant the query was accounted to (0 = the implicit "default"
+  /// tenant when none are configured).
   TenantId tenant = 0;
   std::uint32_t partitionsAnswered = 0;
   std::uint32_t partitionsTotal = 0;
@@ -167,11 +163,13 @@ struct ObservedLoad {
   std::uint64_t blocksDecoded = 0;
   std::uint64_t blocksSkipped = 0;
   std::uint64_t heapThresholdPrunes = 0;
-  /// Client-visible latency over the window.
+  /// Client-visible latency over the window: the per-tenant histograms
+  /// merged (they share bucket geometry, so the merge is exact).
   double p50 = 0.0, p95 = 0.0, p99 = 0.0, meanLatency = 0.0;
-  /// Per-tenant heat over the window (tenant mode only; empty in legacy
-  /// mode). Latency quantiles cover served queries; rejected queries show
-  /// up only in the rejection counters and the tenant's SLO error rate.
+  /// Per-tenant heat over the window, one entry per tenant (a single
+  /// "default" entry when none are configured). Latency quantiles cover
+  /// served queries; rejected queries show up only in the rejection
+  /// counters and the tenant's SLO error rate.
   struct TenantLoad {
     std::string name;
     std::uint64_t queries = 0;
@@ -234,13 +232,13 @@ class QueryBroker {
   /// instance.replicaGroupCount() == index.shardCount() and a complete
   /// mapping. Spawns the worker pools; ready on return.
   ///
-  /// `liveShards`, when non-empty (one entry per *physical* shard, each a
-  /// segment-backed copy of its replica group's partition), puts the broker
-  /// in live-migration mode: workers execute against the per-shard live
-  /// index instead of the shared in-memory partition, and
-  /// applyShardMove() may swap individual entries while serving. Global
-  /// statistics still come from `index`, so scores are bit-identical in
-  /// both modes.
+  /// Workers execute against a per-*physical*-shard index table.
+  /// `liveShards`, when non-empty (one entry per physical shard, e.g. a
+  /// segment-backed copy of its replica group's partition), fills that
+  /// table; when empty, each entry points (non-owning) at its replica
+  /// group's partition in `index`. applyShardMove() may swap individual
+  /// entries while serving. Global statistics always come from `index`, so
+  /// scores are bit-identical whichever indexes fill the table.
   QueryBroker(const Instance& instance, std::vector<MachineId> mapping,
               const PartitionedIndex& index, ServeConfig config,
               std::vector<std::shared_ptr<const InvertedIndex>> liveShards = {});
@@ -251,15 +249,16 @@ class QueryBroker {
 
   /// Serves one query; thread-safe, blocking (bounded by the deadline when
   /// one is configured). After shutdown() returns cancelled results.
-  /// Equivalent to execute(terms, 0) — tenant 0 is the implicit legacy
-  /// tenant, or the first registered one in tenant mode.
+  /// Equivalent to execute(terms, 0) — tenant 0 is the implicit "default"
+  /// tenant, or the first configured one.
   QueryResult execute(const std::vector<TermId>& terms);
 
   /// Serves one query on behalf of `tenant` (an index into
-  /// ServeConfig::tenants). In tenant mode the query first passes token
-  /// admission — a rejection returns immediately with result.rejected set —
-  /// and its tasks are dispatched in fair-share order against the tenant's
-  /// weight. Throws std::out_of_range on an unknown tenant id.
+  /// ServeConfig::tenants). With configured tenants the query first passes
+  /// token admission — a rejection returns immediately with
+  /// result.rejected set — and its tasks are dispatched in fair-share
+  /// order against the tenant's weight. Throws std::out_of_range on an
+  /// unknown tenant id.
   /// Implemented as submit() + wait, so sync and async callers share one
   /// code path.
   QueryResult execute(const std::vector<TermId>& terms, TenantId tenant);
@@ -284,18 +283,17 @@ class QueryBroker {
 
   /// Atomic per-shard cutover of one live migration move: requires
   /// mapping[shard] == from; swaps the routing entry to `to` under the
-  /// mapping lock, installs `replacement` as the shard's live index (when
-  /// in live mode and non-null), invalidates exactly the cache entries that
-  /// shard served, and zeroes the shard's ObservedLoad window accumulators
-  /// so the departed replica's heat does not linger in /debug/shards.
-  /// Returns the previous live index (null outside live mode); the caller
-  /// drains it — waits for in-flight tasks to release their references —
-  /// before dropping the source file.
+  /// mapping lock, installs `replacement` (when non-null) as the shard's
+  /// index-table entry, invalidates exactly the cache entries that shard
+  /// served, and zeroes the shard's ObservedLoad window accumulators so
+  /// the departed replica's heat does not linger in /debug/shards.
+  /// Returns the replaced table entry (null when no replacement was
+  /// given); the caller drains it — waits for in-flight tasks to release
+  /// their references — before dropping the source file. An entry that
+  /// pointed into the shared partitions is non-owning (use_count() 0).
   std::shared_ptr<const InvertedIndex> applyShardMove(
       ShardId shard, MachineId from, MachineId to,
       std::shared_ptr<const InvertedIndex> replacement = nullptr);
-
-  bool liveMode() const noexcept { return liveMode_; }
 
   /// Harvests the measurement window that started at construction or at
   /// the previous snapshot, and begins a new one.
@@ -315,8 +313,9 @@ class QueryBroker {
   /// physical shard is currently mapped to.
   std::string shardsJson() const;
   /// JSON for /debug/tenants: per-tenant spec (weight, guarantee, burst
-  /// cap), live token state (held / entitled / cap), window heat, and the
-  /// tenant's SLO snapshot. `{"tenantMode": false}` in legacy mode.
+  /// cap), window heat, live token state (held / entitled / cap; only with
+  /// token admission), and the tenant's SLO snapshot (only when its SLO
+  /// window is registered).
   std::string tenantsJson() const;
 
   /// Entries currently held by the deadline timer heap (armed queries
@@ -338,11 +337,10 @@ class QueryBroker {
   }
   CacheStats cacheStats() const { return cache_.stats(); }
 
-  bool tenantMode() const noexcept { return tenantMode_; }
   /// The validated tenant table (count() == 1 with the implicit "default"
-  /// spec in legacy mode).
+  /// spec when none are configured).
   const TenantRegistry& tenantRegistry() const noexcept { return registry_; }
-  /// The admission token bank; null in legacy mode.
+  /// The admission token bank; null when no tenants are configured.
   const TokenBank* tokenBank() const noexcept { return bank_.get(); }
 
  private:
@@ -351,7 +349,7 @@ class QueryBroker {
     std::shared_ptr<PendingQuery> pending;
     std::uint32_t partition = 0;
     ShardId physicalShard = 0;
-    /// Accounting + token-return identity; 0 in legacy mode.
+    /// Accounting + token-return identity.
     TenantId tenant = 0;
     /// Request-scoped trace linkage (inert when the query is untraced):
     /// the query's root span is the parent, so per-partition execution
@@ -372,6 +370,10 @@ class QueryBroker {
   /// Registers a pending query with the deadline timer thread, which
   /// delivers the partial result at expiry if no worker finished it first.
   void armDeadline(std::shared_ptr<PendingQuery> pending);
+  /// Accounts one served (not rejected) query: its latency sample in the
+  /// tenant's window histogram and the obs:: histogram, and its outcome in
+  /// the tenant's SLO window when one is registered.
+  void recordServed(TenantId tenant, double latencySeconds, bool error);
   void timerLoop();
   void rebuildHosts(const std::vector<MachineId>& mapping);
   /// Shared body of take/peekObservedLoad: reads the window, and when
@@ -391,23 +393,23 @@ class QueryBroker {
   /// hosts_[g] = (machine, physical shard) per replica of partition g.
   std::vector<std::vector<std::pair<MachineId, ShardId>>> hosts_;
 
-  /// Live-migration mode: per-physical-shard segment-backed indexes.
-  /// Workers copy the shared_ptr under a shared lock per task, so a cutover
-  /// swap never invalidates an in-flight execution — the old index dies
-  /// only when its last task releases it (drain-by-refcount).
-  bool liveMode_ = false;
-  mutable std::shared_mutex liveMutex_;
-  std::vector<std::shared_ptr<const InvertedIndex>> liveShards_;
+  /// Per-physical-shard index table. Workers copy the shared_ptr under a
+  /// shared lock per task, so a cutover swap never invalidates an
+  /// in-flight execution — the old index dies only when its last task
+  /// releases it (drain-by-refcount).
+  mutable std::shared_mutex shardIndexMutex_;
+  std::vector<std::shared_ptr<const InvertedIndex>> shardIndexes_;
 
   std::vector<std::unique_ptr<FairShareQueue<Task>>> queues_;
   std::vector<std::size_t> workersPerMachine_;
   std::vector<std::thread> workers_;
 
   // Tenant layer. registry_ always holds at least one spec (an implicit
-  // "default" in legacy mode); bank_ and the per-tenant SLO windows exist
-  // only in tenant mode.
+  // "default" when none are configured); bank_ exists only for configured
+  // tenants. tenantSlos_[t] is the tenant's registered SLO window (global
+  // registry reference, valid forever), or null for an implicit tenant
+  // without ServeConfig::sloClass.
   TenantRegistry registry_;
-  bool tenantMode_ = false;
   std::unique_ptr<TokenBank> bank_;
   std::vector<std::unique_ptr<TenantStats>> tenantStats_;
   std::vector<obs::SloWindow*> tenantSlos_;
@@ -427,12 +429,8 @@ class QueryBroker {
   std::atomic<std::uint64_t> cacheHits_{0};
   std::atomic<std::uint64_t> expiredQueries_{0};
   std::atomic<std::uint64_t> shedTasks_{0};
-  std::mutex latencyMutex_;
-  LatencyHistogram latency_{1e-6, 12};
-  std::chrono::steady_clock::time_point windowStart_;
-  /// Registered SLO window when config.sloClass is set (global registry
-  /// reference, valid forever).
-  obs::SloWindow* slo_ = nullptr;
+  /// steady_clock ticks at the window's start.
+  std::atomic<std::chrono::steady_clock::rep> windowStart_{0};
 
   // Deadline timer: a min-heap of armed pending queries serviced by one
   // thread. Entries hold weak_ptrs — outstanding tasks keep an

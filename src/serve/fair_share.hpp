@@ -18,11 +18,17 @@
 // cheaper than any heap maintenance.
 //
 // FairShareQueue<T> wraps the scheduler and per-tenant sub-queues behind
-// exactly the MpmcQueue contract the broker's workers already rely on —
-// bounded capacity as backpressure, deadline-bounded push that rejects
-// already-expired deadlines up front, blocking pop, drain-on-close — with
-// one change: pop order across tenants is fair-share, not arrival order
-// (within a tenant it stays FIFO). Capacity is a shared memory bound, not
+// the contract the broker's workers rely on — bounded capacity as
+// backpressure, non-blocking and deadline-bounded pushes (the latter
+// rejecting already-expired deadlines up front), blocking pop,
+// drain-on-close — with pop order across tenants fair-share rather than
+// arrival order (within a tenant it stays FIFO). It is a mutex and two
+// condition variables rather than a lock-free ring: queue operations
+// bracket a real index scan, so lock cost is noise, and the blocking
+// semantics are easy to get right this way. Drain-on-close is what lets
+// the broker shut down with queries in flight: every accepted task is
+// eventually popped, so every pending query's remaining-partition count
+// reaches zero. Capacity is a shared memory bound, not
 // an isolation mechanism; isolation happens earlier, at token admission
 // (see tenant.hpp).
 #pragma once
@@ -86,8 +92,7 @@ class FairShareScheduler {
 };
 
 /// Bounded MPMC queue with fair-share pop ordering across tenant
-/// sub-queues. Same blocking/close semantics as MpmcQueue (see file
-/// comment); `T` moves through untouched.
+/// sub-queues (see file comment); `T` moves through untouched.
 template <typename T>
 class FairShareQueue {
  public:
@@ -125,7 +130,7 @@ class FairShareQueue {
   /// Like push but gives up at `deadline`; returns false on timeout or
   /// close. An already-expired deadline is rejected up front even with
   /// room — enqueueing work the worker is guaranteed to shed would burn a
-  /// bounded slot (same contract as MpmcQueue::pushUntil).
+  /// bounded slot.
   bool pushUntil(T item, TenantId tenant,
                  std::chrono::steady_clock::time_point deadline) {
     if (std::chrono::steady_clock::now() >= deadline) return false;

@@ -76,7 +76,7 @@ class LiveCluster : public MigrationDataPlane {
               const FaultInjector* faults = nullptr);
 
   /// Per-physical-shard serving indexes (segment-backed) — pass to
-  /// QueryBroker's live-mode constructor.
+  /// QueryBroker's constructor as its per-shard index table.
   std::vector<std::shared_ptr<const InvertedIndex>> shardIndexes() const;
 
   /// Connects the broker whose routing commitMove cuts over. Null detaches

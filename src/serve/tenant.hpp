@@ -96,8 +96,8 @@ struct FairShareTreeSpec {
 /// registration order; references stay valid for the registry's lifetime.
 class TenantRegistry {
  public:
-  /// Empty registry (count() == 0): the broker's single-implicit-tenant
-  /// legacy mode.
+  /// Empty registry (count() == 0); the broker always replaces it with a
+  /// validated table.
   TenantRegistry() = default;
   /// Validates and indexes `specs`: unique non-empty names, positive
   /// finite weights, guarantees in [0,1] summing to <= 1, burst limits

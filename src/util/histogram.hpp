@@ -1,4 +1,4 @@
-// Fixed-bucket and HDR-style histograms for latency reporting.
+// HDR-style log-bucketed histogram for latency reporting.
 #pragma once
 
 #include <cstddef>
@@ -7,31 +7,6 @@
 #include <vector>
 
 namespace resex {
-
-/// Linear-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket. Used for quick text visualisation of distributions.
-class LinearHistogram {
- public:
-  /// Throws std::invalid_argument on zero buckets or hi <= lo (validated
-  /// before any derived member is computed).
-  LinearHistogram(double lo, double hi, std::size_t buckets);
-
-  /// NaN samples are ignored (not counted).
-  void add(double x) noexcept;
-  std::size_t totalCount() const noexcept { return total_; }
-  std::size_t bucketCount() const noexcept { return counts_.size(); }
-  std::size_t countAt(std::size_t bucket) const { return counts_.at(bucket); }
-  double bucketLow(std::size_t bucket) const;
-  /// ASCII rendering, one line per bucket, bar scaled to `width` chars.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bucketWidth_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Log-bucketed histogram for latency-like positive values: constant
 /// relative error (~ +/- 2^(1/subBuckets)), O(1) insert, quantiles without

@@ -1,5 +1,5 @@
 // Live data-plane migration, end to end: a LiveCluster materializes real
-// segment files on disk, a live-mode QueryBroker serves from them, and the
+// segment files on disk, a QueryBroker serves from them, and the
 // MigrationExecutor moves the files while queries run.
 //
 //   * queries issued continuously across a migration stay bit-identical to
@@ -127,7 +127,6 @@ TEST(LiveMigration, ContinuousQueriesStayOracleIdenticalAcrossMoves) {
   serveConfig.cacheCapacity = 128;
   QueryBroker broker(instance, instance.initialAssignment(), index, serveConfig,
                      cluster.shardIndexes());
-  ASSERT_TRUE(broker.liveMode());
   cluster.attachBroker(&broker);
 
   // Fixed query set with precomputed oracle answers.

@@ -1,4 +1,4 @@
-// Tenant-mode QueryBroker end-to-end: token admission, per-tenant
+// Multi-tenant QueryBroker end-to-end: token admission, per-tenant
 // accounting, missed-push bookkeeping, and the /debug/tenants JSON.
 #include "serve/broker.hpp"
 
@@ -77,7 +77,7 @@ TEST(QueryBrokerTenants, ServesCorrectResultsAndAttributesPerTenant) {
   // comfortably above that so admission is not the subject here.
   config.tokensPerWorker = 8.0;
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
-  EXPECT_TRUE(broker.tenantMode());
+  EXPECT_NE(broker.tokenBank(), nullptr);
 
   for (int i = 0; i < 6; ++i) {
     const QueryResult r = broker.execute(query({static_cast<TermId>(i)}), 0);
@@ -91,7 +91,7 @@ TEST(QueryBrokerTenants, ServesCorrectResultsAndAttributesPerTenant) {
     EXPECT_TRUE(r.complete);
     EXPECT_EQ(r.tenant, 1u);
   }
-  // Results stay oracle-identical in tenant mode.
+  // Results stay oracle-identical with token admission.
   const auto q = query({25, 3, 110});
   const QueryResult result = broker.execute(q, 1);
   const auto reference = index.searchTopK(q, config.topK, config.bm25);
@@ -246,7 +246,6 @@ TEST(QueryBrokerTenants, TenantsJsonReportsSpecTokensAndHeat) {
   awaitAllTokensFree(broker);
 
   const auto json = MiniJson::flatten(broker.tenantsJson());
-  EXPECT_EQ(json.at("tenant_mode"), "true");
   EXPECT_EQ(json.at("total_tokens"), "12");  // 2 machines x 2 workers x 3
   EXPECT_EQ(json.at("free_tokens"), "12");
   ASSERT_EQ(json.at("tenants/#size"), "2");
@@ -259,11 +258,19 @@ TEST(QueryBrokerTenants, TenantsJsonReportsSpecTokensAndHeat) {
   EXPECT_EQ(json.at("tenants/0/slo/total"), "5");
   EXPECT_EQ(json.at("tenants/0/slo/errors"), "0");
 
-  // Legacy brokers advertise they have nothing tenant-shaped to show.
-  QueryBroker legacy(instance, instance.initialAssignment(), index, {});
-  const auto legacyJson = MiniJson::flatten(legacy.tenantsJson());
-  EXPECT_EQ(legacyJson.at("tenant_mode"), "false");
-  EXPECT_EQ(legacy.tokenBank(), nullptr);
+  // Without configured tenants the implicit "default" tenant reports the
+  // same heat, but no token state and (with no sloClass) no SLO window.
+  QueryBroker single(instance, instance.initialAssignment(), index, {});
+  for (int i = 0; i < 3; ++i) single.execute(query({static_cast<TermId>(i)}));
+  EXPECT_EQ(single.tokenBank(), nullptr);
+  const auto singleJson = MiniJson::flatten(single.tenantsJson());
+  EXPECT_EQ(singleJson.count("total_tokens"), 0u);
+  ASSERT_EQ(singleJson.at("tenants/#size"), "1");
+  EXPECT_EQ(singleJson.at("tenants/0/name"), "default");
+  EXPECT_EQ(singleJson.at("tenants/0/queries"), "3");
+  EXPECT_EQ(singleJson.at("tenants/0/tasks"), "6");  // 3 queries x 2 partitions
+  EXPECT_EQ(singleJson.count("tenants/0/held_tokens"), 0u);
+  EXPECT_EQ(singleJson.count("tenants/0/slo/total"), 0u);
   obs::SloRegistry::global().reset();
 }
 

@@ -4,12 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/mini_json.hpp"
 #include "index/partition.hpp"
+#include "index/query_exec.hpp"
 #include "obs/context.hpp"
 #include "obs/slo.hpp"
 
@@ -225,13 +227,11 @@ TEST(QueryBroker, CleanShutdownWithQueriesInFlight) {
 TEST(QueryBroker, TracingProducesSpanTreesForKeptQueries) {
   obs::TraceRegistry::global().clear();
   obs::TraceRegistry::global().setEnabled(true);
+  obs::TraceRegistry::global().setKeepSlowestOf(4);
   {
     const PartitionedIndex index = smallIndex(4);
     const Instance instance = hostingInstance(4, 2);
-    ServeConfig config;
-    config.tracing = true;
-    config.traceKeepSlowestOf = 4;
-    QueryBroker broker(instance, instance.initialAssignment(), index, config);
+    QueryBroker broker(instance, instance.initialAssignment(), index, {});
     for (int i = 0; i < 12; ++i)
       EXPECT_TRUE(broker.execute(query({static_cast<TermId>(i)})).complete);
 
@@ -357,6 +357,101 @@ TEST(QueryBroker, ApplyShardMoveInvalidatesCachedResultsTouchingTheShard) {
   EXPECT_FALSE(refill.cacheHit);
   EXPECT_TRUE(refill.complete);
   EXPECT_TRUE(broker.execute(query({3, 4})).cacheHit);  // repopulated
+}
+
+TEST(QueryBroker, ApplyShardMoveInstallsReplacementWithoutLiveShards) {
+  // Regression: a broker built over the shared partitions used to drop the
+  // replacement index and keep serving the shared copy.
+  const PartitionedIndex index = smallIndex(2);
+  const Instance instance = hostingInstance(2, 2);  // shard g on machine g
+  ServeConfig config;
+  QueryBroker broker(instance, instance.initialAssignment(), index, config);
+  const auto q = query({5, 9, 200});
+  const auto full = index.searchTopK(q, config.topK, config.bm25);
+
+  // An empty replacement for shard 0: once installed, only partition 1
+  // can contribute documents.
+  const auto empty = std::make_shared<const InvertedIndex>(
+      index.shard(0).termCount(), std::vector<Document>{});
+  const auto old = broker.applyShardMove(0, 0, 1, empty);
+  EXPECT_EQ(old.get(), &index.shard(0));  // the shared partition, non-owning
+  EXPECT_EQ(old.use_count(), 0);
+  EXPECT_EQ(empty.use_count(), 2);  // the broker's index table holds it
+
+  const QueryResult result = broker.execute(q);
+  EXPECT_TRUE(result.complete);
+  const auto expected = topKDisjunctive(index.shard(1), q, config.topK, config.bm25,
+                                        nullptr, &index.globalStats());
+  ASSERT_EQ(result.docs.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(result.docs[i].doc, expected[i].doc);
+    EXPECT_EQ(result.docs[i].score, expected[i].score);
+  }
+  // The query does reach partition 0 when it is served, so the answer
+  // above really changed with the swap.
+  bool sameAsFull = full.size() == expected.size();
+  for (std::size_t i = 0; sameAsFull && i < full.size(); ++i)
+    sameAsFull = full[i].doc == expected[i].doc;
+  EXPECT_FALSE(sameAsFull);
+}
+
+TEST(QueryBroker, SharedAndPerShardIndexesServeIdenticalTopK) {
+  // Two replicas per partition. The per-shard table gives each physical
+  // shard its own copy of its replica group's partition, taken from
+  // separately built twins of the shared index (one twin per replica).
+  const PartitionedIndex index = smallIndex(3);
+  const Instance instance = hostingInstance(3, 3, /*replication=*/2);
+  const std::vector<std::shared_ptr<const PartitionedIndex>> twins = {
+      std::make_shared<const PartitionedIndex>(smallIndex(3)),
+      std::make_shared<const PartitionedIndex>(smallIndex(3))};
+  std::vector<std::shared_ptr<const InvertedIndex>> copies;
+  for (ShardId s = 0; s < instance.shardCount(); ++s) {
+    const auto& twin = twins[s % twins.size()];  // replica r of g is shard 2g + r
+    copies.emplace_back(twin, &twin->shard(instance.replicaGroupOf(s)));
+  }
+  ServeConfig config;
+  QueryBroker shared(instance, instance.initialAssignment(), index, config);
+  QueryBroker perShard(instance, instance.initialAssignment(), index, config,
+                       copies);
+  for (TermId t = 0; t < 40; ++t) {
+    const auto q = query({t, static_cast<TermId>(3 * t + 1), static_cast<TermId>(599 - t)});
+    const QueryResult a = shared.execute(q);
+    const QueryResult b = perShard.execute(q);
+    ASSERT_TRUE(a.complete);
+    ASSERT_TRUE(b.complete);
+    ASSERT_EQ(a.docs.size(), b.docs.size());
+    for (std::size_t i = 0; i < a.docs.size(); ++i) {
+      EXPECT_EQ(a.docs[i].doc, b.docs[i].doc);
+      EXPECT_EQ(a.docs[i].score, b.docs[i].score);  // bit-identical
+    }
+  }
+}
+
+TEST(QueryBroker, SingleTenantReportsDefaultTenantMatchingBrokerWide) {
+  const PartitionedIndex index = smallIndex(2);
+  const Instance instance = hostingInstance(2, 2);
+  ServeConfig config;
+  config.cacheCapacity = 1024;
+  QueryBroker broker(instance, instance.initialAssignment(), index, config);
+  for (int i = 0; i < 30; ++i)
+    broker.execute(query({static_cast<TermId>(i % 20)}));  // 10 cache hits
+  const ObservedLoad load = broker.takeObservedLoad();
+  ASSERT_EQ(load.tenants.size(), 1u);
+  const ObservedLoad::TenantLoad& tenant = load.tenants[0];
+  EXPECT_EQ(tenant.name, "default");
+  EXPECT_EQ(load.queries, 30u);
+  EXPECT_EQ(tenant.queries, load.queries);
+  EXPECT_EQ(tenant.cacheHits, load.cacheHits);
+  EXPECT_EQ(tenant.cacheHits, 10u);
+  EXPECT_EQ(tenant.tasks, load.shardTasks[0] + load.shardTasks[1]);
+  EXPECT_GT(load.p99, 0.0);
+  EXPECT_EQ(tenant.p50, load.p50);
+  EXPECT_EQ(tenant.p99, load.p99);
+  EXPECT_EQ(tenant.meanLatency, load.meanLatency);
+  // The window resets for the implicit tenant like for configured ones.
+  const ObservedLoad next = broker.takeObservedLoad();
+  EXPECT_EQ(next.tenants[0].queries, 0u);
+  EXPECT_EQ(next.p99, 0.0);
 }
 
 TEST(QueryBroker, ApplyShardMoveValidatesArguments) {

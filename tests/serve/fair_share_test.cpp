@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -153,6 +154,82 @@ TEST(FairShareQueue, BlockedPopWakesOnPush) {
   consumer.join();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 42);
+}
+
+TEST(FairShareQueue, ZeroCapacityIsBumpedToOne) {
+  FairShareQueue<int> queue(0, onePool({1.0}));
+  EXPECT_EQ(queue.capacity(), 1u);
+  EXPECT_TRUE(queue.push(7, 0));
+  EXPECT_EQ(queue.pop(), 7);
+}
+
+TEST(FairShareQueue, PushBlocksWhenFullUntilPop) {
+  FairShareQueue<int> queue(1, onePool({1.0}));
+  ASSERT_TRUE(queue.push(1, 0));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(queue.push(2, 0));
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());  // backpressured on the full queue
+  EXPECT_EQ(queue.pop(), 1);    // the pop frees the slot the producer waits on
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(queue.pop(), 2);
+}
+
+TEST(FairShareQueue, CloseWakesBlockedConsumer) {
+  FairShareQueue<int> queue(4, onePool({1.0}));
+  std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  queue.close();
+  consumer.join();
+}
+
+TEST(FairShareQueue, TryPushFailsWhenFullOrClosed) {
+  // The transport submit path never blocks: a full queue must refuse at
+  // once instead of waiting for a slot, and so must a closed one.
+  FairShareQueue<int> queue(2, onePool({1.0, 1.0}));
+  EXPECT_TRUE(queue.tryPush(1, 0));
+  EXPECT_TRUE(queue.tryPush(2, 1));
+  EXPECT_FALSE(queue.tryPush(3, 0));  // full: capacity is shared by tenants
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_TRUE(queue.pop().has_value());
+  EXPECT_TRUE(queue.tryPush(3, 0));   // a pop makes room again
+  queue.close();
+  EXPECT_TRUE(queue.pop().has_value());
+  EXPECT_FALSE(queue.tryPush(4, 0));  // closed, even with room
+  EXPECT_EQ(queue.size(), 1u);
+}
+
+TEST(FairShareQueue, ConcurrentProducersConsumersDeliverEverything) {
+  constexpr int kProducers = 4;
+  constexpr int kConsumers = 3;
+  constexpr int kPerProducer = 500;
+  FairShareQueue<int> queue(16, onePool({2.0, 1.0}));
+  std::atomic<long> sum{0};
+  std::atomic<int> received{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConsumers; ++c)
+    threads.emplace_back([&] {
+      while (auto item = queue.pop()) {
+        sum.fetch_add(*item, std::memory_order_relaxed);
+        received.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (int p = 0; p < kProducers; ++p)
+    threads.emplace_back([&, p] {
+      const auto tenant = static_cast<TenantId>(p % 2);
+      for (int i = 0; i < kPerProducer; ++i)
+        EXPECT_TRUE(queue.push(p * kPerProducer + i, tenant));
+    });
+  for (std::size_t t = kConsumers; t < threads.size(); ++t) threads[t].join();
+  queue.close();
+  for (int c = 0; c < kConsumers; ++c) threads[c].join();
+  const int total = kProducers * kPerProducer;
+  EXPECT_EQ(received.load(), total);
+  EXPECT_EQ(sum.load(), static_cast<long>(total) * (total - 1) / 2);
 }
 
 }  // namespace
