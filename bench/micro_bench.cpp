@@ -25,7 +25,6 @@
 #include <string>
 
 #include "obs/export.hpp"
-#include "obs/trace.hpp"
 
 #include "cluster/assignment.hpp"
 #include "index/maxscore.hpp"
@@ -428,7 +427,7 @@ int main(int argc, char** argv) {
   std::string metricsOut, traceOut;
   takeFlag(argc, argv, "--metrics-out", metricsOut);
   takeFlag(argc, argv, "--trace-out", traceOut);
-  if (!traceOut.empty()) resex::obs::Tracer::global().setEnabled(true);
+  if (!traceOut.empty()) resex::obs::enableTraceExport();
 
   std::string lnsBenchOut, lnsMachines, lnsSeconds;
   takeFlag(argc, argv, "--lns-bench-out", lnsBenchOut);

@@ -47,9 +47,9 @@
 #include "core/baselines.hpp"
 #include "core/sra.hpp"
 #include "index/partition.hpp"
-#include "obs/context.hpp"
 #include "obs/http.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 #include "open_loop.hpp"
 #include "serve/broker.hpp"
 #include "util/flags.hpp"

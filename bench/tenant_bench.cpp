@@ -50,9 +50,9 @@
 #include <vector>
 
 #include "index/partition.hpp"
-#include "obs/context.hpp"
 #include "obs/http.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 #include "open_loop.hpp"
 #include "serve/broker.hpp"
 #include "util/flags.hpp"

@@ -31,8 +31,8 @@
 
 #include "cluster/instance.hpp"
 #include "index/partition.hpp"
-#include "obs/context.hpp"
 #include "obs/http.hpp"
+#include "obs/trace.hpp"
 #include "serve/broker.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"

@@ -30,10 +30,10 @@
 #include "index/wand.hpp"
 #include "metrics/report.hpp"
 #include "model/bounds.hpp"
-#include "obs/context.hpp"
 #include "obs/export.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/flags.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/zipf.hpp"
@@ -180,7 +180,7 @@ int cmdQuickstart(Flags& flags) {
   }
   const auto& latency =
       obs::MetricsRegistry::global().histogram("query.latency_us");
-  std::printf("queries:    %zu executed, latency p50 <= %.0fus, p99 <= %.0fus\n",
+  std::printf("queries:    %zu executed, latency p50 %.0fus, p99 %.0fus\n",
               queryCount, latency.quantile(0.50), latency.quantile(0.99));
   return 0;
 }

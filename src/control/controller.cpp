@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -47,7 +46,7 @@ RebalanceResult ClusterController::plan(const Instance& instance) {
 
 EpochReport ClusterController::step(const Instance& instance) {
   RESEX_TRACE_SPAN("controller.step");
-  const std::uint64_t epochStartUs = obs::Tracer::nowMicros();
+  const std::uint64_t epochStartUs = obs::nowMicros();
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("controller.epochs").add();
 
@@ -122,7 +121,7 @@ EpochReport ClusterController::step(const Instance& instance) {
   if (obs::TraceRegistry::enabled())
     obs::TraceRegistry::global().emitTimeline(
         "controller.epoch", epochStartUs,
-        obs::Tracer::nowMicros() - epochStartUs,
+        obs::nowMicros() - epochStartUs,
         {{"epoch", static_cast<double>(report.epoch)},
          {"triggered", report.triggered ? 1.0 : 0.0},
          {"executed", report.executed ? 1.0 : 0.0},

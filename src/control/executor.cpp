@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "control/data_plane.hpp"
-#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -136,7 +135,7 @@ ExecutionReport MigrationExecutor::execute(const Instance& instance,
   bool stop = false;
   while (!stop && phaseIndex < active->phases.size()) {
     RESEX_TRACE_SPAN("executor.phase");
-    const std::uint64_t phaseStartUs = obs::Tracer::nowMicros();
+    const std::uint64_t phaseStartUs = obs::nowMicros();
     const Phase& phase = active->phases[phaseIndex];
 
     // Crash cutoff for this phase: moves before it completed their copies
@@ -327,7 +326,7 @@ ExecutionReport MigrationExecutor::execute(const Instance& instance,
     if (obs::TraceRegistry::enabled())
       obs::TraceRegistry::global().emitTimeline(
           "executor.phase", phaseStartUs,
-          obs::Tracer::nowMicros() - phaseStartUs,
+          obs::nowMicros() - phaseStartUs,
           {{"phase", static_cast<double>(globalPhase)},
            {"moves_committed", static_cast<double>(committedCount)},
            {"committed_bytes", committedPhaseBytes},

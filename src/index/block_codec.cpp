@@ -159,7 +159,7 @@ BlockPostingList BlockPostingList::viewOf(
       rejectView(b, "single-posting block with a doc range");
     if (meta.count > 1 &&
         static_cast<std::uint64_t>(meta.lastDoc) - meta.firstDoc <
-            meta.count - 1)
+            static_cast<std::uint64_t>(meta.count) - 1)
       rejectView(b, "doc range narrower than the posting count");
     if (b > 0 && meta.firstDoc <= blocks[b - 1].lastDoc)
       rejectView(b, "doc range overlaps the previous block");

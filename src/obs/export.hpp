@@ -23,6 +23,10 @@ void defineExportFlags(Flags& flags);
 /// Enables tracing when --trace-out is non-empty. Call before the workload.
 void applyExportFlags(const Flags& flags);
 
+/// Enables tracing with arenas sized for a full export (65,536 spans per
+/// thread). Call before the workload.
+void enableTraceExport();
+
 /// Writes whichever outputs were requested; returns false if any write
 /// failed (already logged).
 bool writeExportFlags(const Flags& flags);
@@ -30,7 +34,8 @@ bool writeExportFlags(const Flags& flags);
 /// Writes the global registry snapshot as JSON (or Prometheus text).
 bool writeMetricsFile(const std::string& path, bool prometheus = false);
 
-/// Writes the global tracer's spans as a Chrome trace_event JSON array.
+/// Writes the trace registry's process spans, retained traces and timeline
+/// as a Chrome trace_event JSON array.
 bool writeTraceFile(const std::string& path);
 
 }  // namespace resex::obs

@@ -12,9 +12,9 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace resex::obs {

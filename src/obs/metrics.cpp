@@ -29,6 +29,12 @@ std::string promName(const std::string& name) {
   return out;
 }
 
+void raiseMax(std::atomic<double>& max, double v) noexcept {
+  double cur = max.load(std::memory_order_relaxed);
+  while (v > cur && !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
 std::string promNumber(double v) {
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[64];
@@ -38,28 +44,73 @@ std::string promNumber(double v) {
 
 }  // namespace
 
-Histogram::Histogram(std::vector<double> upperBounds)
-    : bounds_(std::move(upperBounds)), counts_(bounds_.size() + 1) {
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()))
-    throw std::invalid_argument("Histogram: bounds must be sorted");
-  for (const double b : bounds_)
-    if (!std::isfinite(b))
-      throw std::invalid_argument("Histogram: bounds must be finite");
+Histogram::Histogram(double floor, int subBucketsPerOctave)
+    : floor_(floor), subBuckets_(subBucketsPerOctave),
+      counts_(subBucketsPerOctave > 0
+                  ? static_cast<std::size_t>(kOctaves * subBucketsPerOctave) + 1
+                  : 0) {
+  if (!(floor > 0.0) || !std::isfinite(floor))
+    throw std::invalid_argument("Histogram: floor must be finite and > 0");
+  if (subBucketsPerOctave <= 0)
+    throw std::invalid_argument("Histogram: subBuckets must be > 0");
+}
+
+Histogram::Histogram(const Histogram& other)
+    : floor_(other.floor_), subBuckets_(other.subBuckets_),
+      counts_(other.counts_.size()) {
+  *this = other;
+}
+
+Histogram& Histogram::operator=(const Histogram& other) {
+  if (this == &other) return *this;
+  if (counts_.size() != other.counts_.size())
+    counts_ = std::vector<std::atomic<std::uint64_t>>(other.counts_.size());
+  floor_ = other.floor_;
+  subBuckets_ = other.subBuckets_;
+  // The total is recounted from the copied buckets, so a snapshot taken
+  // while writers run is still self-consistent.
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    const std::uint64_t n = other.countAt(b);
+    counts_[b].store(n, std::memory_order_relaxed);
+    total += n;
+  }
+  total_.store(total, std::memory_order_relaxed);
+  sum_.store(other.sum(), std::memory_order_relaxed);
+  max_.store(other.maxSeen(), std::memory_order_relaxed);
+  return *this;
+}
+
+std::size_t Histogram::bucketFor(double x) const noexcept {
+  if (!(x > floor_)) return 0;
+  const double b = std::ceil(std::log2(x / floor_) * subBuckets_);
+  const auto last = static_cast<double>(counts_.size() - 1);
+  return static_cast<std::size_t>(std::min(b, last));
 }
 
 void Histogram::observe(double x) noexcept {
-  // First bound >= x (bucket i counts samples <= bounds[i]); samples above
-  // every bound land in the implicit +inf slot at the end.
-  const auto idx = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), x) - bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
+  if (std::isnan(x)) return;
+  counts_[bucketFor(x)].fetch_add(1, std::memory_order_relaxed);
   total_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);
+  raiseMax(max_, x);
 }
 
-double Histogram::upperBound(std::size_t i) const noexcept {
-  if (i >= bounds_.size()) return std::numeric_limits<double>::infinity();
-  return bounds_[i];
+void Histogram::merge(const Histogram& other) {
+  if (other.floor_ != floor_ || other.subBuckets_ != subBuckets_)
+    throw std::invalid_argument("Histogram::merge: bucket geometry differs");
+  for (std::size_t b = 0; b < counts_.size(); ++b)
+    counts_[b].fetch_add(other.countAt(b), std::memory_order_relaxed);
+  total_.fetch_add(other.totalCount(), std::memory_order_relaxed);
+  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
+  raiseMax(max_, other.maxSeen());
+}
+
+void Histogram::reset() noexcept {
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+  total_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  max_.store(0.0, std::memory_order_relaxed);
 }
 
 double Histogram::meanValue() const noexcept {
@@ -70,40 +121,33 @@ double Histogram::meanValue() const noexcept {
 double Histogram::quantile(double q) const noexcept {
   const std::uint64_t n = totalCount();
   if (n == 0) return 0.0;
+  const double max = maxSeen();
   q = std::clamp(q, 0.0, 1.0);
+  if (q >= 1.0) return max;
   const auto target = static_cast<std::uint64_t>(q * static_cast<double>(n - 1));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += countAt(i);
-    if (seen > target)
-      return i < bounds_.size() ? bounds_[i]
-                                : (bounds_.empty() ? 0.0 : bounds_.back());
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    seen += countAt(b);
+    if (seen <= target) continue;
+    // Geometric midpoint of the bucket; for the top occupied bucket it can
+    // exceed the largest sample, so never report beyond maxSeen.
+    const double mid =
+        b == 0 ? floor_
+               : floor_ * std::exp2((static_cast<double>(b) - 0.5) / subBuckets_);
+    return std::min(mid, max);
   }
-  return bounds_.empty() ? 0.0 : bounds_.back();
+  return max;
 }
 
-void Histogram::reset() noexcept {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  total_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
+std::size_t Histogram::bucketCount() const noexcept {
+  std::size_t b = counts_.size();
+  while (b > 0 && countAt(b - 1) == 0) --b;
+  return b;
 }
 
-std::vector<double> Histogram::latencyUsBounds() {
-  std::vector<double> bounds;
-  for (double decade = 1.0; decade <= 1e6; decade *= 10.0)
-    for (const double step : {1.0, 2.0, 5.0}) bounds.push_back(decade * step);
-  bounds.push_back(1e7);  // 10 s
-  return bounds;
-}
-
-std::vector<double> Histogram::exponentialBounds(double start, double factor,
-                                                 std::size_t n) {
-  if (start <= 0.0 || factor <= 1.0 || n == 0)
-    throw std::invalid_argument("Histogram::exponentialBounds: bad arguments");
-  std::vector<double> bounds(n);
-  double b = start;
-  for (std::size_t i = 0; i < n; ++i, b *= factor) bounds[i] = b;
-  return bounds;
+double Histogram::bucketUpper(std::size_t bucket) const noexcept {
+  if (bucket + 1 >= counts_.size()) return std::numeric_limits<double>::infinity();
+  return floor_ * std::exp2(static_cast<double>(bucket) / subBuckets_);
 }
 
 void Series::append(double a, double b, double c, double d) {
@@ -149,18 +193,20 @@ std::string MetricsSnapshot::toJson() const {
   for (const auto& [name, value] : gauges) json.field(name, value);
   json.endObject();
   json.key("histograms").beginObject();
-  for (const HistogramData& h : histograms) {
-    json.key(h.name).beginObject();
-    json.field("count", h.total);
-    json.field("sum", h.sum);
+  for (const auto& [name, h] : histograms) {
+    json.key(name).beginObject();
+    json.field("count", h.totalCount());
+    json.field("sum", h.sum());
+    json.field("max", h.maxSeen());
     json.key("buckets").beginArray();
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
+    for (std::size_t b = 0; b < h.bucketCount(); ++b) {
       json.beginObject();
-      if (i < h.upperBounds.size())
-        json.field("le", h.upperBounds[i]);
+      const double le = h.bucketUpper(b);
+      if (std::isfinite(le))
+        json.field("le", le);
       else
         json.field("le", "inf");
-      json.field("count", h.counts[i]);
+      json.field("count", h.countAt(b));
       json.endObject();
     }
     json.endArray();
@@ -201,23 +247,24 @@ std::string MetricsSnapshot::toPrometheusText() const {
     out += "# TYPE " + n + " gauge\n";
     out += n + " " + promNumber(value) + "\n";
   }
-  for (const HistogramData& h : histograms) {
-    const std::string n = promName(h.name);
+  for (const auto& [name, h] : histograms) {
+    const std::string n = promName(name);
     out += "# TYPE " + n + " histogram\n";
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      const double le = i < h.upperBounds.size()
-                            ? h.upperBounds[i]
-                            : std::numeric_limits<double>::infinity();
+    for (std::size_t b = 0; b < h.bucketCount(); ++b) {
+      cumulative += h.countAt(b);
+      const double le = h.bucketUpper(b);
+      if (!std::isfinite(le)) break;  // the overflow bucket is the +Inf line
       std::snprintf(line, sizeof line, "%s_bucket{le=\"%s\"} %llu\n", n.c_str(),
                     promNumber(le).c_str(),
                     static_cast<unsigned long long>(cumulative));
       out += line;
     }
-    out += n + "_sum " + promNumber(h.sum) + "\n";
-    std::snprintf(line, sizeof line, "%s_count %llu\n", n.c_str(),
-                  static_cast<unsigned long long>(h.total));
+    const auto total = static_cast<unsigned long long>(h.totalCount());
+    std::snprintf(line, sizeof line, "%s_bucket{le=\"+Inf\"} %llu\n", n.c_str(), total);
+    out += line;
+    out += n + "_sum " + promNumber(h.sum()) + "\n";
+    std::snprintf(line, sizeof line, "%s_count %llu\n", n.c_str(), total);
     out += line;
   }
   return out;
@@ -242,11 +289,10 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upperBounds) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard lock(mutex_);
   auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(upperBounds));
+  if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
 }
 
@@ -262,17 +308,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters.emplace_back(name, c->get());
   for (const auto& [name, g] : gauges_) snap.gauges.emplace_back(name, g->get());
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramData data;
-    data.name = name;
-    for (std::size_t i = 0; i + 1 < h->bucketCount(); ++i)
-      data.upperBounds.push_back(h->upperBound(i));
-    for (std::size_t i = 0; i < h->bucketCount(); ++i)
-      data.counts.push_back(h->countAt(i));
-    data.total = h->totalCount();
-    data.sum = h->sum();
-    snap.histograms.push_back(std::move(data));
-  }
+  for (const auto& [name, h] : histograms_) snap.histograms.emplace_back(name, *h);
   for (const auto& [name, s] : series_) {
     MetricsSnapshot::SeriesData data;
     data.name = name;

@@ -1,5 +1,5 @@
-// Process-wide metrics registry: counters, gauges, fixed-bucket histograms,
-// and append-only series.
+// Process-wide metrics registry: counters, gauges, log-bucketed latency
+// histograms, and append-only series.
 //
 // Recording is the hot path and is lock-free: every instrument is a fixed
 // set of relaxed atomics, and the registry hands out references that stay
@@ -65,44 +65,57 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Cumulative fixed-bucket histogram (Prometheus semantics): bucket i
-/// counts samples <= bounds[i], plus an implicit +inf overflow bucket.
-/// Bounds are fixed at registration so observe() is a branch-free upper
-/// bound search plus three relaxed atomic adds.
+/// Log-bucketed histogram for latency-like positive values: constant
+/// relative error (~ +/- 2^(1/subBuckets)), quantiles without retaining
+/// samples. Bucket 0 holds samples <= floor; bucket b holds
+/// (floor * 2^((b-1)/s), floor * 2^(b/s)] for s sub-buckets per octave,
+/// over kOctaves octaves; the last bucket also takes everything above.
+/// Counts are relaxed atomics over that fixed range, so observe() is
+/// lock-free; a copy is a snapshot.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> upperBounds);
+  static constexpr int kOctaves = 40;
 
+  /// The default geometry is the registry's: microseconds from 1 us.
+  explicit Histogram(double floor = 1.0, int subBucketsPerOctave = 8);
+  Histogram(const Histogram& other);
+  Histogram& operator=(const Histogram& other);
+
+  /// Records one sample; NaN is ignored.
   void observe(double x) noexcept;
+  /// Adds `other`'s samples. Both must share floor and sub-buckets (bucket
+  /// edges line up); a mismatch throws std::invalid_argument.
+  void merge(const Histogram& other);
+  void reset() noexcept;
 
-  std::size_t bucketCount() const noexcept { return counts_.size(); }
-  /// Upper bound of bucket i; the last bucket returns +inf.
-  double upperBound(std::size_t i) const noexcept;
-  std::uint64_t countAt(std::size_t i) const noexcept {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
   std::uint64_t totalCount() const noexcept {
     return total_.load(std::memory_order_relaxed);
   }
   double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
+  double maxSeen() const noexcept { return max_.load(std::memory_order_relaxed); }
   double meanValue() const noexcept;
-  /// Quantile q in [0,1] from bucket counts; returns the upper bound of
-  /// the containing bucket (the last finite bound for overflow samples).
+  /// Quantile q in [0,1]: the geometric midpoint of the bucket holding the
+  /// q-th sample, clamped to maxSeen() so no quantile exceeds the largest
+  /// sample; q == 1 returns maxSeen() exactly. Empty histogram returns 0.
   double quantile(double q) const noexcept;
-  void reset() noexcept;
 
-  /// Default bounds for microsecond latencies: 1-2-5 decades from 1us to
-  /// 10s, then overflow.
-  static std::vector<double> latencyUsBounds();
-  /// n exponential bounds: start, start*factor, start*factor^2, ...
-  static std::vector<double> exponentialBounds(double start, double factor,
-                                               std::size_t n);
+  /// Buckets up to the highest occupied one (exports stop there).
+  std::size_t bucketCount() const noexcept;
+  std::uint64_t countAt(std::size_t bucket) const noexcept {
+    return counts_[bucket].load(std::memory_order_relaxed);
+  }
+  /// Inclusive upper edge of `bucket`; +inf for the last bucket.
+  double bucketUpper(std::size_t bucket) const noexcept;
 
  private:
-  std::vector<double> bounds_;  // sorted, finite; counts_ has one extra slot
+  std::size_t bucketFor(double x) const noexcept;
+
+  double floor_;
+  int subBuckets_;
   std::vector<std::atomic<std::uint64_t>> counts_;
   std::atomic<std::uint64_t> total_{0};
   std::atomic<double> sum_{0.0};
+  std::atomic<double> max_{0.0};
 };
 
 /// Append-only series of up to four doubles per point — the metrics-layer
@@ -139,13 +152,6 @@ class ScopedLatencyUs {
 
 /// Point-in-time copy of every registered instrument.
 struct MetricsSnapshot {
-  struct HistogramData {
-    std::string name;
-    std::vector<double> upperBounds;    // finite bounds; +inf implicit
-    std::vector<std::uint64_t> counts;  // upperBounds.size() + 1 entries
-    std::uint64_t total = 0;
-    double sum = 0.0;
-  };
   struct SeriesData {
     std::string name;
     std::vector<Series::Point> points;
@@ -153,7 +159,7 @@ struct MetricsSnapshot {
 
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramData> histograms;
+  std::vector<std::pair<std::string, Histogram>> histograms;
   std::vector<SeriesData> series;
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
@@ -171,10 +177,8 @@ class MetricsRegistry {
   /// Finds or creates; the returned reference is valid forever.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Bounds apply only on first registration; later callers get the
-  /// existing instrument regardless of the bounds they pass.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upperBounds = Histogram::latencyUsBounds());
+  /// Microsecond latencies (the default Histogram geometry).
+  Histogram& histogram(const std::string& name);
   Series& series(const std::string& name);
 
   MetricsSnapshot snapshot() const;

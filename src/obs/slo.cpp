@@ -11,7 +11,7 @@ namespace resex::obs {
 
 namespace {
 
-double nowFromTracerEpoch() { return static_cast<double>(Tracer::nowMicros()) * 1e-6; }
+double tracingClockSeconds() { return static_cast<double>(nowMicros()) * 1e-6; }
 
 }  // namespace
 
@@ -50,7 +50,7 @@ void SloWindow::record(double latencySeconds, bool error, double nowSeconds) {
       static_cast<std::int64_t>(nowSeconds / config_.bucketSeconds);
   std::lock_guard lock(mutex_);
   Bucket& bucket = bucketFor(index);
-  bucket.latency.add(latencySeconds);
+  bucket.latency.observe(latencySeconds);
   ++bucket.total;
   if (error) ++bucket.errors;
   if (config_.p99TargetSeconds > 0.0 && latencySeconds > config_.p99TargetSeconds)
@@ -58,15 +58,15 @@ void SloWindow::record(double latencySeconds, bool error, double nowSeconds) {
 }
 
 void SloWindow::record(double latencySeconds, bool error) {
-  record(latencySeconds, error, nowFromTracerEpoch());
+  record(latencySeconds, error, tracingClockSeconds());
 }
 
-LatencyHistogram SloWindow::mergedAt(double nowSeconds, SloSnapshot* counts) const {
+Histogram SloWindow::mergedAt(double nowSeconds, SloSnapshot* counts) const {
   const auto newest =
       static_cast<std::int64_t>(nowSeconds / config_.bucketSeconds);
   const auto oldest = static_cast<std::int64_t>(
       std::max(0.0, nowSeconds - config_.windowSeconds) / config_.bucketSeconds);
-  LatencyHistogram merged{1e-6, 8};
+  Histogram merged{1e-6, 8};
   std::lock_guard lock(mutex_);
   for (const Bucket& bucket : ring_) {
     if (bucket.index < oldest || bucket.index > newest) continue;
@@ -85,7 +85,7 @@ SloSnapshot SloWindow::snapshotAt(double nowSeconds) const {
   snap.windowSeconds = config_.windowSeconds;
   snap.objective = config_.objective;
   snap.p99TargetSeconds = config_.p99TargetSeconds;
-  const LatencyHistogram merged = mergedAt(nowSeconds, &snap);
+  const Histogram merged = mergedAt(nowSeconds, &snap);
   snap.p50 = merged.quantile(0.50);
   snap.p90 = merged.quantile(0.90);
   snap.p99 = merged.quantile(0.99);
@@ -98,7 +98,7 @@ SloSnapshot SloWindow::snapshotAt(double nowSeconds) const {
   return snap;
 }
 
-SloSnapshot SloWindow::snapshot() const { return snapshotAt(nowFromTracerEpoch()); }
+SloSnapshot SloWindow::snapshot() const { return snapshotAt(tracingClockSeconds()); }
 
 double SloWindow::quantileAt(double q, double nowSeconds) const {
   // Computed from the merged in-window histogram: q = 0.6 is a real p60,
@@ -107,7 +107,7 @@ double SloWindow::quantileAt(double q, double nowSeconds) const {
 }
 
 double SloWindow::quantile(double q) const {
-  return quantileAt(q, nowFromTracerEpoch());
+  return quantileAt(q, tracingClockSeconds());
 }
 
 SloRegistry& SloRegistry::global() {

@@ -3,7 +3,7 @@
 //
 // The metrics registry's histograms are cumulative-forever — right for
 // scrapes, useless for "what is p99 *right now*". An SloWindow is a ring
-// of time buckets, each holding a log-bucketed LatencyHistogram plus
+// of time buckets, each holding a log-bucketed latency Histogram plus
 // total/error counts; recording lands in the bucket covering `now`, and a
 // read merges only the buckets inside the window, so quantiles cover
 // exactly the last `windowSeconds` of traffic. Buckets older than the
@@ -20,8 +20,8 @@
 // sustained > 1.0 means the SLO will be violated.
 //
 // All methods take an explicit `nowSeconds` (any monotone clock) so tests
-// and replayers control time; the zero-argument overloads use the tracer
-// epoch clock.
+// and replayers control time; the zero-argument overloads use the tracing
+// clock (obs::nowMicros).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "util/histogram.hpp"
+#include "obs/metrics.hpp"
 
 namespace resex::obs {
 
@@ -88,7 +88,7 @@ class SloWindow {
  private:
   struct Bucket {
     std::int64_t index = -1;  ///< absolute bucket number; -1 = empty
-    LatencyHistogram latency{1e-6, 8};
+    Histogram latency{1e-6, 8};
     std::uint64_t total = 0;
     std::uint64_t errors = 0;
     std::uint64_t latencyBreaches = 0;
@@ -99,7 +99,7 @@ class SloWindow {
   Bucket& bucketFor(std::int64_t index);
   /// Merged histogram of the buckets inside [now - window, now]; when
   /// `counts` is non-null the bucket totals/errors/breaches sum into it.
-  LatencyHistogram mergedAt(double nowSeconds, SloSnapshot* counts) const;
+  Histogram mergedAt(double nowSeconds, SloSnapshot* counts) const;
 
   SloConfig config_;
   std::size_t bucketCount_;

@@ -8,35 +8,60 @@
 namespace resex::obs {
 namespace {
 
-std::chrono::steady_clock::time_point tracerEpoch() noexcept {
+std::chrono::steady_clock::time_point tracingEpoch() noexcept {
   static const auto epoch = std::chrono::steady_clock::now();
   return epoch;
 }
 
 }  // namespace
 
-TraceBuffer::TraceBuffer(std::uint32_t tid, std::size_t capacity)
+std::uint64_t nowMicros() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - tracingEpoch())
+          .count());
+}
+
+SpanArena::SpanArena(std::uint32_t tid, std::size_t capacity)
     : tid_(tid), capacity_(std::max<std::size_t>(1, capacity)) {
   ring_.reserve(capacity_);
 }
 
-void TraceBuffer::record(const char* name, std::uint64_t startUs,
-                         std::uint64_t durUs) {
+void SpanArena::record(const RichSpan& span) {
   std::lock_guard lock(mutex_);
-  const SpanEvent event{name, startUs, durUs, tid_};
   if (ring_.size() < capacity_) {
-    ring_.push_back(event);
+    ring_.push_back(span);
   } else {
-    ring_[next_] = event;
+    ring_[next_] = span;
     wrapped_ = true;
   }
   next_ = (next_ + 1) % capacity_;
 }
 
-std::vector<SpanEvent> TraceBuffer::events() const {
+void SpanArena::collectTrace(std::uint64_t traceId,
+                             std::vector<RichSpan>& out) const {
+  std::lock_guard lock(mutex_);
+  for (const RichSpan& span : ring_)
+    if (span.traceId == traceId) out.push_back(span);
+}
+
+void SpanArena::collectTraceSince(std::uint64_t traceId, std::uint64_t sinceUs,
+                                  std::vector<RichSpan>& out) const {
+  std::lock_guard lock(mutex_);
+  const std::size_t count = ring_.size();
+  for (std::size_t back = 0; back < count; ++back) {
+    // Newest first: next_ points one past the most recent record.
+    const std::size_t i = (next_ + count - 1 - back) % count;
+    const RichSpan& span = ring_[i];
+    if (span.startUs + span.durUs < sinceUs) break;  // older spans only from here
+    if (span.traceId == traceId) out.push_back(span);
+  }
+}
+
+std::vector<RichSpan> SpanArena::spans() const {
   std::lock_guard lock(mutex_);
   if (!wrapped_) return ring_;
-  std::vector<SpanEvent> out;
+  std::vector<RichSpan> out;
   out.reserve(ring_.size());
   out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
              ring_.end());
@@ -45,126 +70,340 @@ std::vector<SpanEvent> TraceBuffer::events() const {
   return out;
 }
 
-void TraceBuffer::clear() {
+void SpanArena::clear() {
   std::lock_guard lock(mutex_);
   ring_.clear();
   next_ = 0;
   wrapped_ = false;
 }
 
-Tracer& Tracer::global() {
-  static Tracer tracer;
-  return tracer;
+bool TailSampler::shouldKeep(std::uint64_t durUs, bool forceKeep) noexcept {
+  std::lock_guard lock(mutex_);
+  bool keep = forceKeep;
+  if (!forceKeep) {
+    // Slower than every non-forced query of the previous group -> keep.
+    // The threshold self-adapts: each group of N retires contributes its
+    // max, so steady traffic keeps roughly the slowest 1/N. While the
+    // first group is still forming there is no threshold yet; keep one
+    // exemplar (the very first retire) rather than the whole warmup.
+    // Non-forced keeps are additionally capped at one per group: under
+    // latency drift (a ramping queue) nearly every retire can exceed the
+    // previous group's max, and an unbounded keep rate turns promotion
+    // into measurable serving overhead. The cap keeps the rate at 1/N in
+    // the worst case while staying tail-biased.
+    keep = (haveThreshold_ ? durUs > thresholdUs_ : groupCount_ == 0) &&
+           !keptInGroup_;
+    if (keep) keptInGroup_ = true;
+    groupMaxUs_ = std::max(groupMaxUs_, durUs);
+    if (++groupCount_ >= groupSize_) {
+      thresholdUs_ = groupMaxUs_;
+      haveThreshold_ = true;
+      groupMaxUs_ = 0;
+      groupCount_ = 0;
+      keptInGroup_ = false;
+    }
+  }
+  return keep;
 }
 
-std::atomic<bool>& Tracer::enabledFlag() noexcept {
+TraceRegistry& TraceRegistry::global() {
+  // Immortal: threads hand their arenas back from thread-exit hooks, which
+  // may run after static destructors have started.
+  static TraceRegistry* registry = new TraceRegistry;
+  return *registry;
+}
+
+std::atomic<bool>& TraceRegistry::enabledFlag() noexcept {
   static std::atomic<bool> enabled{false};
   return enabled;
 }
 
-void Tracer::setEnabled(bool enabled) noexcept {
-  tracerEpoch();  // pin the epoch no later than the first enable
+void TraceRegistry::setEnabled(bool enabled) noexcept {
+  tracingEpoch();  // pin the epoch no later than the first enable
   enabledFlag().store(enabled, std::memory_order_relaxed);
 }
 
-std::uint64_t Tracer::nowMicros() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - tracerEpoch())
-          .count());
+void TraceRegistry::setKeepSlowestOf(std::uint32_t n) {
+  std::lock_guard lock(mutex_);
+  sampler_ = std::make_unique<TailSampler>(n);
 }
 
-TraceBuffer& Tracer::threadBuffer() {
-  thread_local std::shared_ptr<TraceBuffer> buffer;
-  if (!buffer) {
-    buffer = std::make_shared<TraceBuffer>(
-        nextTid_.fetch_add(1, std::memory_order_relaxed),
-        bufferCapacity_.load(std::memory_order_relaxed));
-    std::lock_guard lock(mutex_);
-    buffers_.push_back(buffer);
+void TraceRegistry::setTraceCapacity(std::size_t capacity) {
+  std::lock_guard lock(mutex_);
+  traceCapacity_ = std::max<std::size_t>(1, capacity);
+  if (traces_.size() > traceCapacity_)
+    traces_.erase(traces_.begin(),
+                  traces_.end() - static_cast<std::ptrdiff_t>(traceCapacity_));
+}
+
+void TraceRegistry::setArenaCapacity(std::size_t capacity) noexcept {
+  arenaCapacity_.store(std::max<std::size_t>(1, capacity),
+                       std::memory_order_relaxed);
+}
+
+TraceContext TraceRegistry::startTrace() {
+  if (!enabled()) return {};
+  started_.fetch_add(1, std::memory_order_relaxed);
+  return TraceContext{nextTraceId_.fetch_add(1, std::memory_order_relaxed), 0};
+}
+
+/// The calling thread's hold on its arena; hands the arena back to the
+/// registry when the thread exits, so short-lived threads (one portfolio
+/// solve each) reuse arenas instead of registering new ones.
+struct ArenaLease {
+  std::shared_ptr<SpanArena> arena;
+  ~ArenaLease() {
+    if (arena) TraceRegistry::global().releaseArena(std::move(arena));
   }
-  return *buffer;
+};
+
+SpanArena& TraceRegistry::threadArena() {
+  thread_local ArenaLease lease;
+  if (!lease.arena) {
+    const std::size_t capacity = arenaCapacity_.load(std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    const auto reusable = std::find_if(
+        freeArenas_.begin(), freeArenas_.end(),
+        [capacity](const auto& arena) { return arena->capacity() == capacity; });
+    if (reusable != freeArenas_.end()) {
+      lease.arena = std::move(*reusable);
+      freeArenas_.erase(reusable);
+    } else {
+      lease.arena = std::make_shared<SpanArena>(
+          nextTid_.fetch_add(1, std::memory_order_relaxed), capacity);
+      arenas_.push_back(lease.arena);
+    }
+  }
+  return *lease.arena;
 }
 
-std::vector<SpanEvent> Tracer::collect() const {
-  std::vector<std::shared_ptr<TraceBuffer>> buffers;
+void TraceRegistry::releaseArena(std::shared_ptr<SpanArena> arena) {
+  std::lock_guard lock(mutex_);
+  freeArenas_.push_back(std::move(arena));
+}
+
+std::size_t TraceRegistry::arenaCount() const {
+  std::lock_guard lock(mutex_);
+  return arenas_.size();
+}
+
+bool TraceRegistry::retire(const TraceContext& ctx, std::uint64_t rootDurUs,
+                           bool forceKeep, const char* keepReason) {
+  if (!ctx.active()) return false;
+  bool keep = false;
   {
     std::lock_guard lock(mutex_);
-    buffers = buffers_;
+    keep = sampler_->shouldKeep(rootDurUs, forceKeep);
   }
-  std::vector<SpanEvent> all;
-  for (const auto& buffer : buffers) {
-    const auto events = buffer->events();
-    all.insert(all.end(), events.begin(), events.end());
+  if (!keep) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
+  // Promotion (the slow path, kept traces only): gather this trace's spans
+  // out of every arena. Spans already overwritten by ring wraparound are
+  // lost — the plane is best-effort by design.
+  TraceRecord record;
+  record.traceId = ctx.traceId;
+  record.keepReason = forceKeep ? keepReason : "slow";
+  record.rootDurUs = rootDurUs;
+  std::vector<std::shared_ptr<SpanArena>> arenas;
+  {
+    std::lock_guard lock(mutex_);
+    arenas = arenas_;
+  }
+  // Every span of this trace started after the root did and was recorded
+  // (at destruction) before this retire, so a newest-first scan of each
+  // arena can stop at the root's start time instead of walking the whole
+  // ring. The slack absorbs rounding between the clock reads.
+  constexpr std::uint64_t kSinceSlackUs = 200;
+  const std::uint64_t nowUs = nowMicros();
+  const std::uint64_t sinceUs =
+      nowUs > rootDurUs + kSinceSlackUs ? nowUs - rootDurUs - kSinceSlackUs : 0;
+  for (const auto& arena : arenas)
+    arena->collectTraceSince(ctx.traceId, sinceUs, record.spans);
+  std::stable_sort(record.spans.begin(), record.spans.end(),
+                   [](const RichSpan& a, const RichSpan& b) {
                      return a.startUs < b.startUs;
                    });
-  return all;
-}
-
-std::string Tracer::exportChromeTrace() const {
-  JsonWriter json;
-  json.beginArray();
-  for (const SpanEvent& event : collect()) {
-    json.beginObject();
-    json.field("name", event.name);
-    json.field("cat", "resex");
-    json.field("ph", "X");
-    json.field("pid", 1);
-    json.field("tid", event.tid);
-    json.field("ts", event.startUs);
-    json.field("dur", event.durUs);
-    json.endObject();
-  }
-  json.endArray();
-  return json.str();
-}
-
-void Tracer::clear() {
-  std::vector<std::shared_ptr<TraceBuffer>> buffers;
   {
     std::lock_guard lock(mutex_);
-    buffers = buffers_;
+    traces_.push_back(std::move(record));
+    if (traces_.size() > traceCapacity_) traces_.erase(traces_.begin());
   }
-  for (const auto& buffer : buffers) buffer->clear();
+  kept_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
-void Tracer::setBufferCapacity(std::size_t capacity) noexcept {
-  bufferCapacity_.store(std::max<std::size_t>(1, capacity),
-                        std::memory_order_relaxed);
+void TraceRegistry::emitTimeline(const char* name, std::uint64_t startUs,
+                                 std::uint64_t durUs,
+                                 std::initializer_list<SpanArg> args) {
+  RichSpan span;
+  span.name = name;
+  span.startUs = startUs;
+  span.durUs = durUs;
+  span.tid = threadArena().tid();
+  for (const SpanArg& arg : args) span.addArg(arg.key, arg.value);
+  std::lock_guard lock(mutex_);
+  timeline_.push_back(span);
+  // Same retention bound as traces: timeline events are rare (epochs,
+  // migration phases), so this trims only pathological runs.
+  if (timeline_.size() > traceCapacity_ * 4)
+    timeline_.erase(timeline_.begin());
+}
+
+std::vector<TraceRecord> TraceRegistry::recentTraces() const {
+  std::lock_guard lock(mutex_);
+  return traces_;
+}
+
+std::vector<RichSpan> TraceRegistry::timelineEvents() const {
+  std::lock_guard lock(mutex_);
+  return timeline_;
+}
+
+std::vector<RichSpan> TraceRegistry::processSpans() const {
+  std::vector<std::shared_ptr<SpanArena>> arenas;
+  {
+    std::lock_guard lock(mutex_);
+    arenas = arenas_;
+  }
+  std::vector<RichSpan> out;
+  for (const auto& arena : arenas)
+    for (const RichSpan& span : arena->spans())
+      if (span.traceId == 0) out.push_back(span);
+  std::stable_sort(out.begin(), out.end(), [](const RichSpan& a, const RichSpan& b) {
+    return a.startUs < b.startUs;
+  });
+  return out;
 }
 
 namespace {
 
-/// Interned-name registry. A node-based set gives every stored string a
-/// stable address for the life of the process; intentionally never
-/// cleared — span buffers may hold the pointers across Tracer::clear().
-struct NameRegistry {
-  std::mutex mutex;
-  std::set<std::string, std::less<>> names;
-};
-
-NameRegistry& nameRegistry() {
-  static NameRegistry* registry = new NameRegistry;  // immortal
-  return *registry;
+void writeSpanJson(JsonWriter& json, const RichSpan& span) {
+  json.beginObject();
+  json.field("name", span.name != nullptr ? span.name : "");
+  json.field("span_id", span.spanId);
+  json.field("parent_span_id", span.parentSpanId);
+  json.field("ts_us", span.startUs);
+  json.field("dur_us", span.durUs);
+  json.field("tid", span.tid);
+  json.key("args").beginObject();
+  for (std::uint32_t i = 0; i < span.argCount; ++i)
+    json.field(span.args[i].key, span.args[i].value);
+  json.endObject();
+  json.endObject();
 }
 
 }  // namespace
 
-const char* Tracer::internName(std::string_view name) {
-  NameRegistry& registry = nameRegistry();
-  std::lock_guard lock(registry.mutex);
-  const auto it = registry.names.find(name);
-  if (it != registry.names.end()) return it->c_str();
-  return registry.names.emplace(name).first->c_str();
+std::string TraceRegistry::tracesJson() const {
+  const std::vector<TraceRecord> traces = recentTraces();
+  const std::vector<RichSpan> timeline = timelineEvents();
+  JsonWriter json;
+  json.beginObject();
+  json.field("traces_started", tracesStarted());
+  json.field("traces_kept", tracesKept());
+  json.field("traces_dropped", tracesDropped());
+  json.key("traces").beginArray();
+  for (const TraceRecord& trace : traces) {
+    json.beginObject();
+    json.field("trace_id", trace.traceId);
+    json.field("keep_reason", trace.keepReason);
+    json.field("root_dur_us", trace.rootDurUs);
+    json.key("spans").beginArray();
+    for (const RichSpan& span : trace.spans) writeSpanJson(json, span);
+    json.endArray();
+    json.endObject();
+  }
+  json.endArray();
+  json.key("timeline").beginArray();
+  for (const RichSpan& event : timeline) writeSpanJson(json, event);
+  json.endArray();
+  json.endObject();
+  return json.str();
 }
 
-std::size_t Tracer::internedNameCount() {
-  NameRegistry& registry = nameRegistry();
-  std::lock_guard lock(registry.mutex);
-  return registry.names.size();
+void TraceRegistry::appendChromeEvents(std::string& out) const {
+  const auto appendEvent = [&out](const RichSpan& span, const char* category,
+                                  std::uint64_t traceId, const char* keepReason) {
+    JsonWriter json;
+    json.beginObject();
+    json.field("name", span.name != nullptr ? span.name : "");
+    json.field("cat", category);
+    json.field("ph", "X");
+    json.field("pid", 1);
+    json.field("tid", span.tid);
+    json.field("ts", span.startUs);
+    // Perfetto renders zero-duration "X" events invisibly; floor at 1us.
+    json.field("dur", std::max<std::uint64_t>(1, span.durUs));
+    json.key("args").beginObject();
+    if (traceId != 0) {
+      json.field("trace_id", traceId);
+      json.field("span_id", span.spanId);
+      json.field("parent_span_id", span.parentSpanId);
+      json.field("keep_reason", keepReason);
+    }
+    for (std::uint32_t i = 0; i < span.argCount; ++i)
+      json.field(span.args[i].key, span.args[i].value);
+    json.endObject();
+    json.endObject();
+    if (!out.empty()) out += ",";
+    out += json.str();
+  };
+  // An arena's request spans are exported only through retained traces;
+  // those of dropped traces never leave the arena.
+  for (const RichSpan& span : processSpans()) appendEvent(span, "resex", 0, "");
+  for (const TraceRecord& trace : recentTraces())
+    for (const RichSpan& span : trace.spans)
+      appendEvent(span, "resex.query", trace.traceId, trace.keepReason);
+  for (const RichSpan& event : timelineEvents())
+    appendEvent(event, "resex.timeline", 0, "");
+}
+
+void TraceRegistry::clear() {
+  std::vector<std::shared_ptr<SpanArena>> arenas;
+  {
+    std::lock_guard lock(mutex_);
+    arenas = arenas_;
+    traces_.clear();
+    timeline_.clear();
+    sampler_ = std::make_unique<TailSampler>(sampler_->groupSize());
+  }
+  for (const auto& arena : arenas) arena->clear();
+  started_.store(0, std::memory_order_relaxed);
+  kept_.store(0, std::memory_order_relaxed);
+  dropped_.store(0, std::memory_order_relaxed);
+}
+
+namespace {
+
+void recordInThreadArena(RichSpan& span) {
+  span.durUs = nowMicros() - span.startUs;
+  SpanArena& arena = TraceRegistry::global().threadArena();
+  span.tid = arena.tid();
+  arena.record(span);
+}
+
+}  // namespace
+
+ScopedSpan::ScopedSpan(const TraceContext& ctx, const char* name) noexcept {
+  if (!ctx.active()) return;
+  span_.name = name;
+  span_.traceId = ctx.traceId;
+  span_.parentSpanId = ctx.parentSpanId;
+  span_.spanId = TraceRegistry::global().nextSpanId();
+  span_.startUs = nowMicros();
+}
+
+ScopedSpan::~ScopedSpan() {
+  if (span_.traceId != 0) recordInThreadArena(span_);
+}
+
+void TraceSpan::record() noexcept {
+  RichSpan span;
+  span.name = name_;
+  span.startUs = startUs_;
+  recordInThreadArena(span);
 }
 
 }  // namespace resex::obs

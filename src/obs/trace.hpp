@@ -1,127 +1,306 @@
-// Scoped tracing: per-thread span ring buffers with Chrome trace export.
+// Tracing: one span recorder for the process and for individual queries.
 //
-// `RESEX_TRACE_SPAN("lns.repair")` drops an RAII guard into a scope; when
-// tracing is enabled it records {name, start, duration, thread} into the
-// calling thread's ring buffer. When disabled (the default) the guard is a
-// single relaxed atomic load — cheap enough to leave in solver inner
-// loops. Buffers are bounded: a long run keeps the most recent spans per
-// thread rather than growing without limit.
+// Every span lands in the calling thread's SpanArena — a fixed ring of
+// RichSpan slots with inline argument storage — so recording never
+// allocates: a handful of stores under a lock only promotion and export
+// ever contend. Two kinds of span share the arenas:
 //
-// `Tracer::global().exportChromeTrace()` renders every collected span as a
-// Chrome `trace_event` JSON array, loadable in about://tracing or Perfetto.
+// - Process spans. `RESEX_TRACE_SPAN("lns.repair")` drops an RAII guard
+//   into a scope and records an untraced span (traceId 0) at scope exit.
+//   They answer "where does the process spend time". While tracing is
+//   off (the default) the guard is one relaxed atomic load, cheap enough
+//   for solver inner loops.
+// - Request spans. A TraceContext (a 64-bit trace id plus the parent span
+//   id) is allocated at the broker when a query is admitted and copied by
+//   value into worker tasks, so every span a query touches (route, queue
+//   wait, per-partition execution, merge) links into one tree although
+//   the spans are recorded on different threads.
+//
+// Whether a query's spans are *retained* is decided only at retire time
+// (tail-based sampling): degraded / shed / deadline-missed queries are
+// always kept, the slowest ~1/N of the rest are kept, and everything else
+// is never promoted out of the arenas. Promotion is best-effort: spans
+// overwritten by ring wraparound under extreme load are lost. Timeline
+// events (controller epochs, migration phases) bypass sampling and are
+// always retained.
+//
+// The Chrome trace_event export (appendChromeEvents, obs::writeTraceFile)
+// shows the arenas' process spans, the retained traces and the timeline
+// on one clock, loadable in about://tracing or Perfetto. Spans of traces
+// the sampler dropped are never exported.
 //
 // Span naming follows the metrics convention: `subsystem.verb`
 // ("scheduler.build", "query.wand").
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace resex::obs {
 
-struct SpanEvent {
-  /// Must point at storage outliving the tracer (string literals).
-  const char* name = nullptr;
-  std::uint64_t startUs = 0;  // microseconds since tracer epoch
-  std::uint64_t durUs = 0;
-  std::uint32_t tid = 0;
+/// Propagated per-query identity: which trace a span belongs to and which
+/// span is its parent. Copied by value into queue tasks; zero traceId
+/// means "not traced" and makes every recording call a no-op.
+struct TraceContext {
+  std::uint64_t traceId = 0;
+  std::uint32_t parentSpanId = 0;
+
+  bool active() const noexcept { return traceId != 0; }
+  /// The context a child scope should propagate: same trace, this span as
+  /// the parent.
+  TraceContext child(std::uint32_t spanId) const noexcept {
+    return TraceContext{traceId, spanId};
+  }
 };
 
-/// One thread's bounded span history. Writes lock a thread-owned mutex
-/// that is only ever contended by collect()/clear().
-class TraceBuffer {
- public:
-  TraceBuffer(std::uint32_t tid, std::size_t capacity);
+/// One numeric span annotation. Keys must outlive every arena (string
+/// literals); values are doubles so counts, ids, and seconds all fit
+/// without per-arg allocation.
+struct SpanArg {
+  const char* key = nullptr;
+  double value = 0.0;
+};
 
-  void record(const char* name, std::uint64_t startUs, std::uint64_t durUs);
-  /// Recorded events in arrival order (oldest first once wrapped).
-  std::vector<SpanEvent> events() const;
+inline constexpr std::size_t kMaxSpanArgs = 12;
+
+/// Microseconds since the tracing epoch (first use in the process); the
+/// clock of every span and timeline event.
+std::uint64_t nowMicros() noexcept;
+
+/// One recorded span: identity, tree linkage, timing, and inline args. A
+/// process span has traceId 0 and no span ids.
+struct RichSpan {
+  const char* name = nullptr;  ///< literal storage (outlives every arena)
+  std::uint64_t traceId = 0;
+  std::uint32_t spanId = 0;
+  std::uint32_t parentSpanId = 0;  ///< 0 = root of its trace
+  std::uint64_t startUs = 0;       ///< nowMicros() clock
+  std::uint64_t durUs = 0;
+  std::uint32_t tid = 0;
+  std::uint32_t argCount = 0;
+  std::array<SpanArg, kMaxSpanArgs> args;
+
+  void addArg(const char* key, double value) noexcept {
+    if (argCount < kMaxSpanArgs) args[argCount++] = SpanArg{key, value};
+  }
+};
+
+/// One thread's bounded ring of spans. The owner thread writes under a
+/// mutex that is only ever contended by promotion/collection. When its
+/// thread exits the arena goes back to the registry for the next new
+/// thread, keeping its spans until they are overwritten.
+class SpanArena {
+ public:
+  explicit SpanArena(std::uint32_t tid, std::size_t capacity);
+
+  void record(const RichSpan& span);
+  /// All live spans belonging to `traceId`, appended to `out`.
+  void collectTrace(std::uint64_t traceId, std::vector<RichSpan>& out) const;
+  /// Like collectTrace, but only considers spans that *ended* at or after
+  /// `sinceUs`. Spans are recorded at destruction, so per-arena ring order
+  /// is monotone in end time; the scan walks newest-to-oldest and stops at
+  /// the first older span. This bounds trace promotion to the spans
+  /// recorded during the query's lifetime instead of the whole ring.
+  void collectTraceSince(std::uint64_t traceId, std::uint64_t sinceUs,
+                         std::vector<RichSpan>& out) const;
+  /// Every live span (timeline export and tests).
+  std::vector<RichSpan> spans() const;
   void clear();
   std::uint32_t tid() const noexcept { return tid_; }
+  std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   mutable std::mutex mutex_;
   std::uint32_t tid_;
-  std::vector<SpanEvent> ring_;
   std::size_t capacity_;
+  std::vector<RichSpan> ring_;
   std::size_t next_ = 0;
   bool wrapped_ = false;
 };
 
-class Tracer {
- public:
-  static Tracer& global();
+/// A retained (sampled-in) trace: why it was kept plus its span tree.
+struct TraceRecord {
+  std::uint64_t traceId = 0;
+  /// "degraded", "shed", "deadline", "slow", "forced" — the sampling
+  /// verdict that retained it.
+  const char* keepReason = "";
+  std::uint64_t rootDurUs = 0;
+  std::vector<RichSpan> spans;  ///< parent-linked; order is arena order
+};
 
+/// Tail-based sampling policy: always keep forced retires (degraded /
+/// shed / deadline-missed), and of the rest keep the slowest ~1/N using a
+/// self-adapting threshold — a query is kept when it is slower than every
+/// non-forced query seen in the previous group of N retires. Thread-safe.
+class TailSampler {
+ public:
+  explicit TailSampler(std::uint32_t keepSlowestOf = 64) noexcept
+      : groupSize_(keepSlowestOf == 0 ? 1 : keepSlowestOf) {}
+
+  /// Decides keep/drop for one retiring trace and advances the window.
+  bool shouldKeep(std::uint64_t durUs, bool forceKeep) noexcept;
+  std::uint32_t groupSize() const noexcept { return groupSize_; }
+
+ private:
+  std::uint32_t groupSize_;
+  std::mutex mutex_;
+  std::uint64_t thresholdUs_ = 0;  ///< slowest of the previous group
+  bool haveThreshold_ = false;
+  std::uint64_t groupMaxUs_ = 0;
+  std::uint32_t groupCount_ = 0;
+  bool keptInGroup_ = false;  ///< caps non-forced keeps at one per group
+};
+
+/// Process-wide tracing registry: allocates trace/span ids, owns the
+/// per-thread arenas, applies tail sampling at retire, and stores the
+/// retained traces in a bounded ring for /traces and export.
+class TraceRegistry {
+ public:
+  static TraceRegistry& global();
+
+  /// The tracing switch: gates process spans and new request traces.
   void setEnabled(bool enabled) noexcept;
   static bool enabled() noexcept {
     return enabledFlag().load(std::memory_order_relaxed);
   }
 
-  /// The calling thread's buffer, created and registered on first use.
-  TraceBuffer& threadBuffer();
+  /// Keep the slowest ~1/N non-forced queries (resets the sampler).
+  void setKeepSlowestOf(std::uint32_t n);
+  /// Retained-trace ring capacity (default 256) and per-thread arena
+  /// capacity for arenas created after the call.
+  void setTraceCapacity(std::size_t capacity);
+  void setArenaCapacity(std::size_t capacity) noexcept;
 
-  /// All spans from all threads, sorted by start time.
-  std::vector<SpanEvent> collect() const;
-  /// Chrome trace_event JSON array ("X" complete events, ts/dur in us).
-  std::string exportChromeTrace() const;
+  /// Starts a new trace; inert context when disabled.
+  TraceContext startTrace();
+  /// Unique-within-process span id (one relaxed fetch_add).
+  std::uint32_t nextSpanId() noexcept {
+    return nextSpanId_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// The calling thread's arena. On first use it takes an exited thread's
+  /// arena of the current capacity, or creates and registers one.
+  SpanArena& threadArena();
+  /// Arenas registered so far: live threads' plus reusable ones.
+  std::size_t arenaCount() const;
+
+  /// Tail-sampling decision point, called once when the query completes.
+  /// When the verdict is keep, the trace's spans are promoted out of the
+  /// arenas into the retained ring under `keepReason`; returns whether the
+  /// trace was kept. `rootDurUs` is the full query latency.
+  bool retire(const TraceContext& ctx, std::uint64_t rootDurUs, bool forceKeep,
+              const char* keepReason = "slow");
+
+  /// Records an always-retained instant/duration event outside any query
+  /// trace (controller epochs, migration phases). Args optional.
+  void emitTimeline(const char* name, std::uint64_t startUs, std::uint64_t durUs,
+                    std::initializer_list<SpanArg> args = {});
+
+  /// Most recent retained traces, oldest first.
+  std::vector<TraceRecord> recentTraces() const;
+  std::vector<RichSpan> timelineEvents() const;
+  /// Every process span (traceId 0) still in the arenas, by start time.
+  std::vector<RichSpan> processSpans() const;
+
+  /// JSON for the /traces endpoint: array of {trace_id, keep_reason,
+  /// root_dur_us, spans:[{name,span_id,parent_span_id,ts_us,dur_us,tid,
+  /// args:{...}}]}.
+  std::string tracesJson() const;
+  /// Chrome trace_event objects (no surrounding array), appended to
+  /// `out`: the arenas' process spans (cat "resex", by start time), every
+  /// retained span ("resex.query") and the timeline ("resex.timeline").
+  void appendChromeEvents(std::string& out) const;
+
+  /// Drops retained traces, timeline events, and arena contents; resets
+  /// the sampler window. Counters (trace/span ids) keep advancing.
   void clear();
 
-  /// Per-thread ring capacity for buffers created after this call
-  /// (existing buffers keep theirs). Mostly for tests.
-  void setBufferCapacity(std::size_t capacity) noexcept;
-  /// Microseconds since the tracer epoch (first use in the process).
-  static std::uint64_t nowMicros() noexcept;
-
-  /// Interns `name` into process-lifetime storage and returns a stable
-  /// `const char*` — the safe way to build *dynamic* span labels
-  /// ("shard.17", per-tenant names) for SpanEvent::name and
-  /// RichSpan::name, whose `const char*` fields must outlive every
-  /// buffer. Idempotent: the same text always returns the same pointer,
-  /// so a hot loop can intern up front and reuse. Takes a mutex — intern
-  /// at setup time, not per span.
-  static const char* internName(std::string_view name);
-  /// Distinct names interned so far (tests).
-  static std::size_t internedNameCount();
+  /// Retire verdict counters, for tests and /metrics sanity.
+  std::uint64_t tracesStarted() const noexcept {
+    return started_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t tracesKept() const noexcept {
+    return kept_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t tracesDropped() const noexcept {
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
  private:
+  friend struct ArenaLease;
   static std::atomic<bool>& enabledFlag() noexcept;
+  /// Takes back an exited thread's arena for reuse.
+  void releaseArena(std::shared_ptr<SpanArena> arena);
 
   mutable std::mutex mutex_;
-  std::vector<std::shared_ptr<TraceBuffer>> buffers_;
-  std::atomic<std::size_t> bufferCapacity_{1 << 16};
+  std::vector<std::shared_ptr<SpanArena>> arenas_;
+  std::vector<std::shared_ptr<SpanArena>> freeArenas_;  ///< of exited threads
+  std::vector<TraceRecord> traces_;  ///< bounded ring, oldest first
+  std::vector<RichSpan> timeline_;   ///< bounded, oldest dropped
+  std::size_t traceCapacity_ = 256;
+  std::unique_ptr<TailSampler> sampler_ = std::make_unique<TailSampler>();
+  std::atomic<std::size_t> arenaCapacity_{4096};
+  std::atomic<std::uint64_t> nextTraceId_{1};
+  std::atomic<std::uint32_t> nextSpanId_{1};
   std::atomic<std::uint32_t> nextTid_{1};
+  std::atomic<std::uint64_t> started_{0};
+  std::atomic<std::uint64_t> kept_{0};
+  std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// RAII span guard; see RESEX_TRACE_SPAN.
+/// RAII process span; see RESEX_TRACE_SPAN.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name) noexcept
-      : name_(Tracer::enabled() ? name : nullptr) {
-    if (name_) startUs_ = Tracer::nowMicros();
+      : name_(TraceRegistry::enabled() ? name : nullptr) {
+    if (name_) startUs_ = nowMicros();
   }
   ~TraceSpan() {
-    if (name_)
-      Tracer::global().threadBuffer().record(name_, startUs_,
-                                             Tracer::nowMicros() - startUs_);
+    if (name_) record();
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
+  void record() noexcept;
+
   const char* name_;
   std::uint64_t startUs_ = 0;
 };
 
 #define RESEX_OBS_CONCAT_IMPL(a, b) a##b
 #define RESEX_OBS_CONCAT(a, b) RESEX_OBS_CONCAT_IMPL(a, b)
-/// Records the enclosing scope as a span named `name` (a string literal).
+/// Records the enclosing scope as a process span named `name` (a string
+/// literal).
 #define RESEX_TRACE_SPAN(name) \
   ::resex::obs::TraceSpan RESEX_OBS_CONCAT(resexTraceSpan_, __LINE__)(name)
+
+/// RAII request-scoped span: opens under `ctx`, records into the calling
+/// thread's arena on destruction. Inert (no id allocation, no recording)
+/// when the context is inactive. Args may be attached any time before
+/// scope exit.
+class ScopedSpan {
+ public:
+  ScopedSpan(const TraceContext& ctx, const char* name) noexcept;
+  ~ScopedSpan();
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
+  void arg(const char* key, double value) noexcept { span_.addArg(key, value); }
+  bool active() const noexcept { return span_.traceId != 0; }
+  std::uint32_t spanId() const noexcept { return span_.spanId; }
+  /// Context for work nested under this span.
+  TraceContext childContext() const noexcept {
+    return TraceContext{span_.traceId, span_.spanId};
+  }
+
+ private:
+  RichSpan span_;
+};
 
 }  // namespace resex::obs

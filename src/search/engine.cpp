@@ -54,7 +54,7 @@ SimulationResult simulateUnreplicated(const Instance& instance,
       busy[mach] += service;
       finish = std::max(finish, lastFinish[mach]);
     }
-    result.latency.add(finish - now);
+    result.latency.observe(finish - now);
     simLatencyHistogram().observe((finish - now) * 1e6);
   }
   result.queries = config.queryCount;
@@ -123,7 +123,7 @@ SimulationResult simulateReplicated(const Instance& instance,
       busy[chosen] += service;
       finish = std::max(finish, lastFinish[chosen]);
     }
-    result.latency.add(finish - now);
+    result.latency.observe(finish - now);
     simLatencyHistogram().observe((finish - now) * 1e6);
   }
   result.queries = config.queryCount;

@@ -9,7 +9,7 @@
 
 #include "cluster/instance.hpp"
 #include "search/query.hpp"
-#include "util/histogram.hpp"
+#include "obs/metrics.hpp"
 
 namespace resex {
 
@@ -31,7 +31,7 @@ struct SimulationConfig {
 };
 
 struct SimulationResult {
-  LatencyHistogram latency{1e-5, 12};
+  obs::Histogram latency{1e-5, 12};
   std::size_t queries = 0;
   double durationSeconds = 0.0;
   /// Fraction of the simulated horizon each machine spent busy.

@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/router.hpp"
-#include "util/histogram.hpp"
 #include "util/json_writer.hpp"
 
 namespace resex::serve {
@@ -151,7 +150,7 @@ struct QueryBroker::TenantStats {
   std::atomic<std::uint64_t> postings{0};
   std::atomic<std::uint64_t> busyNanos{0};
   std::mutex mutex;  ///< guards latency
-  LatencyHistogram latency{kLatencyFloorSeconds, kLatencySubBuckets};
+  obs::Histogram latency{kLatencyFloorSeconds, kLatencySubBuckets};
 };
 
 QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mapping,
@@ -375,7 +374,7 @@ void finishQueryTrace(const obs::TraceContext& rootCtx, std::uint32_t rootSpanId
   root.spanId = rootSpanId;
   root.parentSpanId = 0;
   root.startUs = rootStartUs;
-  root.durUs = obs::Tracer::nowMicros() - rootStartUs;
+  root.durUs = obs::nowMicros() - rootStartUs;
   root.tid = arena.tid();
   root.addArg("cache_hit", res.cacheHit ? 1.0 : 0.0);
   root.addArg("complete", res.complete ? 1.0 : 0.0);
@@ -419,7 +418,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     const obs::TraceContext trace = obs::TraceRegistry::global().startTrace();
     if (trace.active()) {
       rootSpanId = obs::TraceRegistry::global().nextSpanId();
-      rootStartUs = obs::Tracer::nowMicros();
+      rootStartUs = obs::nowMicros();
       rootCtx = trace.child(rootSpanId);
     }
   }
@@ -501,7 +500,7 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
         task.tenant = tenant;
         if (rootCtx.active()) {
           task.trace = rootCtx;
-          task.enqueueUs = obs::Tracer::nowMicros();
+          task.enqueueUs = obs::nowMicros();
           task.depthAtDispatch = static_cast<std::uint32_t>(depthAtPick);
         }
         const bool ok =
@@ -605,7 +604,7 @@ void QueryBroker::recordServed(TenantId tenant, double latencySeconds, bool erro
   TenantStats& tstats = *tenantStats_[tenant];
   {
     std::lock_guard lock(tstats.mutex);
-    tstats.latency.add(latencySeconds);
+    tstats.latency.observe(latencySeconds);
   }
   latencyHistogram().observe(latencySeconds * 1e6);
   if (obs::SloWindow* slo = tenantSlos_[tenant]) slo->record(latencySeconds, error);
@@ -707,7 +706,7 @@ void QueryBroker::workerLoop(std::size_t machine) {
         execSpan.arg("shard", static_cast<double>(task.physicalShard));
         execSpan.arg("machine", static_cast<double>(machine));
         execSpan.arg("queue_wait_us", static_cast<double>(
-                                          obs::Tracer::nowMicros() - task.enqueueUs));
+                                          obs::nowMicros() - task.enqueueUs));
         execSpan.arg("depth_at_dispatch",
                      static_cast<double>(task.depthAtDispatch));
       }
@@ -847,7 +846,7 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
   out.cacheHits = harvest(cacheHits_);
   out.expiredQueries = harvest(expiredQueries_);
   out.shedTasks = harvest(shedTasks_);
-  LatencyHistogram merged{kLatencyFloorSeconds, kLatencySubBuckets};
+  obs::Histogram merged{kLatencyFloorSeconds, kLatencySubBuckets};
   out.tenants.resize(registry_.count());
   for (std::size_t t = 0; t < registry_.count(); ++t) {
     TenantStats& ts = *tenantStats_[t];

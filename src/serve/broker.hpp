@@ -51,8 +51,8 @@
 
 #include "cluster/instance.hpp"
 #include "index/partition.hpp"
-#include "obs/context.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 #include "serve/fair_share.hpp"
 #include "serve/lru_cache.hpp"
 #include "serve/tenant.hpp"

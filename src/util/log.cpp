@@ -36,9 +36,11 @@ int formatTimestamp(char* buf, std::size_t size) {
                       1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  return std::snprintf(buf, size, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                       tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                       tm.tm_min, tm.tm_sec, static_cast<int>(millis));
+  // strftime, not snprintf of the raw tm ints: the compiler cannot bound
+  // those, so a fixed buffer trips -Wformat-truncation.
+  const std::size_t len = std::strftime(buf, size, "%Y-%m-%dT%H:%M:%S", &tm);
+  return static_cast<int>(len) +
+         std::snprintf(buf + len, size - len, ".%03dZ", static_cast<int>(millis));
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(Partition, ScatterGatherEqualsWholeIndexSearch) {
   const InvertedIndex whole(f.config.termCount, f.docs);
   for (const std::size_t shards : {1u, 2u, 7u}) {
     const PartitionedIndex part(f.config.termCount, f.docs, shards);
-    for (const std::vector<TermId> query :
+    for (const std::vector<TermId>& query :
          {std::vector<TermId>{0}, {1, 7}, {2, 30, 95}}) {
       const auto partitioned = part.searchTopK(query, 10);
       const auto reference = topKDisjunctive(whole, query, 10, Bm25Params{});

@@ -79,7 +79,7 @@ void expectSameResults(const std::vector<ScoredDoc>& actual,
 
 TEST(QueryExec, DisjunctiveMatchesBruteForce) {
   Fixture f;
-  for (const std::vector<TermId> query :
+  for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {5, 40}, {1, 2, 3}, {100, 200, 250}}) {
     const auto fast = topKDisjunctive(f.index, query, 10, Bm25Params{});
     const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, false, {});
@@ -89,7 +89,7 @@ TEST(QueryExec, DisjunctiveMatchesBruteForce) {
 
 TEST(QueryExec, ConjunctiveMatchesBruteForce) {
   Fixture f;
-  for (const std::vector<TermId> query :
+  for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {0, 1}, {2, 5, 9}, {150, 3}}) {
     const auto fast = topKConjunctive(f.index, query, 10, Bm25Params{});
     const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, true, {});
@@ -150,7 +150,7 @@ TEST(QueryExec, StatsCountScannedPostings) {
 
 TEST(QueryExec, TaatMatchesBruteForce) {
   Fixture f;
-  for (const std::vector<TermId> query :
+  for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {5, 40}, {1, 2, 3}, {100, 200, 250}}) {
     const auto fast = topKDisjunctiveTaat(f.index, query, 10, Bm25Params{});
     const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, false, {});

@@ -1,4 +1,5 @@
-#include "obs/context.hpp"
+
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +7,6 @@
 #include <vector>
 
 #include "common/mini_json.hpp"
-#include "obs/trace.hpp"
 
 namespace resex::obs {
 namespace {

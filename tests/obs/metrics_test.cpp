@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,44 +32,6 @@ TEST(Gauge, SetAndAdd) {
   EXPECT_DOUBLE_EQ(g.get(), 1.75);
 }
 
-TEST(Histogram, BucketsCountCumulatively) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.observe(0.5);   // <= 1
-  h.observe(1.0);   // <= 1 (bounds are inclusive)
-  h.observe(5.0);   // <= 10
-  h.observe(50.0);  // <= 100
-  h.observe(500.0); // overflow
-  EXPECT_EQ(h.totalCount(), 5u);
-  EXPECT_EQ(h.bucketCount(), 4u);
-  EXPECT_EQ(h.countAt(0), 2u);
-  EXPECT_EQ(h.countAt(1), 1u);
-  EXPECT_EQ(h.countAt(2), 1u);
-  EXPECT_EQ(h.countAt(3), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 556.5);
-  EXPECT_DOUBLE_EQ(h.meanValue(), 556.5 / 5.0);
-}
-
-TEST(Histogram, QuantileReturnsBucketBound) {
-  Histogram h({1.0, 2.0, 4.0, 8.0});
-  for (int i = 0; i < 50; ++i) h.observe(1.5);  // bucket <= 2
-  for (int i = 0; i < 50; ++i) h.observe(3.0);  // bucket <= 4
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 2.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.75), 4.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
-  // Empty histogram quantiles are defined as 0.
-  Histogram empty({1.0});
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-}
-
-TEST(Histogram, RejectsBadBounds) {
-  EXPECT_THROW(Histogram({2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(Histogram::exponentialBounds(0.0, 2.0, 4), std::invalid_argument);
-  const auto bounds = Histogram::exponentialBounds(1.0, 2.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[3], 8.0);
-}
-
 TEST(Series, AppendsAndMerges) {
   Series a;
   a.append(1.0, 2.0);
@@ -84,7 +47,7 @@ TEST(Series, AppendsAndMerges) {
 }
 
 TEST(ScopedLatencyUs, RecordsOnScopeExit) {
-  Histogram h(Histogram::latencyUsBounds());
+  Histogram h;
   {
     ScopedLatencyUs latency(h);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -126,12 +89,12 @@ TEST(MetricsRegistry, ConcurrentIncrementsFromThreadPoolAreExact) {
     }
   }
   EXPECT_TRUE(found);
-  for (const auto& h : snap.histograms) {
-    if (h.name != "test.concurrent_hist") continue;
+  for (const auto& [name, h] : snap.histograms) {
+    if (name != "test.concurrent_hist") continue;
     std::uint64_t total = 0;
-    for (const std::uint64_t c : h.counts) total += c;
-    EXPECT_EQ(total, h.total);
-    EXPECT_EQ(h.total, kIncrements);
+    for (std::size_t b = 0; b < h.bucketCount(); ++b) total += h.countAt(b);
+    EXPECT_EQ(total, h.totalCount());
+    EXPECT_EQ(h.totalCount(), kIncrements);
   }
 }
 
@@ -140,7 +103,7 @@ TEST(MetricsRegistry, JsonRoundTrip) {
   registry.reset();
   registry.counter("test.json.counter").add(42);
   registry.gauge("test.json.gauge").set(2.5);
-  Histogram& hist = registry.histogram("test.json.hist", {10.0, 20.0});
+  Histogram& hist = registry.histogram("test.json.hist");
   hist.observe(5.0);
   hist.observe(15.0);
   hist.observe(99.0);
@@ -150,11 +113,21 @@ TEST(MetricsRegistry, JsonRoundTrip) {
   EXPECT_EQ(flat.at("counters/test.json.counter"), "42");
   EXPECT_EQ(std::stod(flat.at("gauges/test.json.gauge")), 2.5);
   EXPECT_EQ(flat.at("histograms/test.json.hist/count"), "3");
-  // Three buckets: le=10, le=20, le=inf, one sample each.
-  EXPECT_EQ(flat.at("histograms/test.json.hist/buckets/#size"), "3");
-  EXPECT_EQ(flat.at("histograms/test.json.hist/buckets/0/count"), "1");
-  EXPECT_EQ(flat.at("histograms/test.json.hist/buckets/2/le"), "inf");
-  EXPECT_EQ(flat.at("histograms/test.json.hist/buckets/2/count"), "1");
+  EXPECT_EQ(std::stod(flat.at("histograms/test.json.hist/max")), 99.0);
+  // Buckets run through the highest occupied one and hold every sample;
+  // the top bucket's edge is the first at or above 99 us.
+  const std::size_t buckets =
+      std::stoul(flat.at("histograms/test.json.hist/buckets/#size"));
+  ASSERT_EQ(buckets, hist.bucketCount());
+  std::uint64_t counted = 0;
+  for (std::size_t b = 0; b < buckets; ++b)
+    counted += std::stoull(
+        flat.at("histograms/test.json.hist/buckets/" + std::to_string(b) + "/count"));
+  EXPECT_EQ(counted, 3u);
+  const std::string top = "histograms/test.json.hist/buckets/" + std::to_string(buckets - 1);
+  EXPECT_EQ(flat.at(top + "/count"), "1");
+  EXPECT_GE(std::stod(flat.at(top + "/le")), 99.0);
+  EXPECT_LT(std::stod(flat.at(top + "/le")), 99.0 * 1.1);
   EXPECT_EQ(std::stod(flat.at("series/test.json.series/0/3")), 4.0);
   registry.reset();
 }
@@ -163,7 +136,7 @@ TEST(MetricsRegistry, PrometheusTextExport) {
   auto& registry = MetricsRegistry::global();
   registry.reset();
   registry.counter("test.prom.counter").add(3);
-  registry.histogram("test.prom.hist", {1.0}).observe(0.5);
+  registry.histogram("test.prom.hist").observe(0.5);
   const std::string text = registry.snapshot().toPrometheusText();
   EXPECT_NE(text.find("# TYPE test_prom_counter_total counter"), std::string::npos);
   EXPECT_NE(text.find("test_prom_counter_total 3"), std::string::npos);

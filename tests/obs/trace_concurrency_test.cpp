@@ -1,42 +1,46 @@
-// Concurrency hammering for both tracing planes, written for the TSan CI
+// Concurrency hammering for the tracing plane, written for the TSan CI
 // job: writers record while readers collect/export, so any missing
-// synchronization in the ring buffers or the registry shows up as a
+// synchronization in the span arenas or the registry shows up as a
 // reported race rather than a flaky assertion.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/context.hpp"
 #include "obs/trace.hpp"
 
 namespace resex::obs {
 namespace {
 
 TEST(TraceConcurrency, BufferRecordRacesCollectCleanly) {
-  TraceBuffer buffer(1, 64);
+  SpanArena arena(1, 64);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
-    std::uint64_t t = 0;
-    while (!stop.load(std::memory_order_relaxed))
-      buffer.record("test.span", t++, 1);
+    RichSpan span;
+    span.name = "test.span";
+    while (!stop.load(std::memory_order_relaxed)) {
+      ++span.startUs;
+      arena.record(span);
+    }
   });
   for (int i = 0; i < 200; ++i) {
-    const std::vector<SpanEvent> events = buffer.events();
+    const std::vector<RichSpan> events = arena.spans();
     EXPECT_LE(events.size(), 64u);
-    for (const SpanEvent& e : events) EXPECT_STREQ(e.name, "test.span");
+    for (const RichSpan& e : events) EXPECT_STREQ(e.name, "test.span");
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  buffer.clear();
-  EXPECT_TRUE(buffer.events().empty());
+  arena.clear();
+  EXPECT_TRUE(arena.spans().empty());
 }
 
 TEST(TraceConcurrency, TracerThreadsRecordWhileExporting) {
-  Tracer::global().clear();
-  Tracer::global().setBufferCapacity(256);
-  Tracer::global().setEnabled(true);
+  TraceRegistry& registry = TraceRegistry::global();
+  registry.clear();
+  registry.setArenaCapacity(256);
+  registry.setEnabled(true);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < 4; ++w)
@@ -46,14 +50,15 @@ TEST(TraceConcurrency, TracerThreadsRecordWhileExporting) {
       }
     });
   for (int i = 0; i < 50; ++i) {
-    Tracer::global().collect();
-    Tracer::global().exportChromeTrace();
+    registry.processSpans();
+    std::string events;
+    registry.appendChromeEvents(events);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : writers) t.join();
-  Tracer::global().setEnabled(false);
-  Tracer::global().clear();
-  Tracer::global().setBufferCapacity(1 << 16);
+  registry.setEnabled(false);
+  registry.clear();
+  registry.setArenaCapacity(4096);
 }
 
 TEST(TraceConcurrency, ArenaWraparoundUnderConcurrentCollect) {

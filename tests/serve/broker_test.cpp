@@ -12,8 +12,8 @@
 #include "common/mini_json.hpp"
 #include "index/partition.hpp"
 #include "index/query_exec.hpp"
-#include "obs/context.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 
 namespace resex::serve {
 namespace {
