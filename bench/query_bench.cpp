@@ -9,14 +9,14 @@
 //   * Decode throughput: postings/second for full-list decode, old flat
 //     VByte vs the bit-packed block codec.
 //   * End-to-end query throughput: QPS over one shared Zipf trace for the
-//     old TAAT kernel vs block-max DAAT (and the library TAAT / MaxScore /
-//     WAND paths for context). DAAT runs through a caller-owned
-//     QueryScratch, so the measured loop is allocation-free.
+//     old TAAT kernel vs the served MaxScore kernel (DAAT; the library's
+//     TAAT oracle for context). The served kernel runs through a
+//     caller-owned QueryScratch, so the measured loop is allocation-free.
 //   * Skipping: blocks decoded vs skipped-undecoded, heap-threshold
-//     prunes, and the fraction of postings the DAAT kernel actually
+//     prunes, and the fraction of postings the served kernel actually
 //     scanned relative to the exhaustive baseline.
 //
-// Every DAAT result is checked for exact equivalence (identical ids,
+// Every served result is checked for exact equivalence (identical ids,
 // scores within 1e-9) against the old kernel. Emits BENCH_query.json;
 // --check exits nonzero unless disjunctive throughput improved by the
 // gate factor (default 2x) AND every query matched.
@@ -45,12 +45,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/maxscore.hpp"
+#include "flat_vbyte.hpp"
 #include "index/partition.hpp"
 #include "index/segment.hpp"
 #include "index/simd_unpack.hpp"
-#include "index/varbyte.hpp"
-#include "index/wand.hpp"
 #include "util/flags.hpp"
 #include "util/json_writer.hpp"
 #include "util/timer.hpp"
@@ -157,7 +155,7 @@ int main(int argc, char** argv) {
       .define("topk", "10", "results per query")
       .define("stopwords", "20", "head terms excluded from queries")
       .define("reps", "3", "timed repetitions of the trace per kernel")
-      .define("min-speedup", "2.0", "--check: required old->DAAT QPS factor")
+      .define("min-speedup", "2.0", "--check: required old->MaxScore QPS factor")
       .define("simd-min-speedup", "2.0",
               "--check: required scalar->SIMD full-block decode factor "
               "(skipped when the host has no SIMD backend)")
@@ -180,7 +178,7 @@ int main(int argc, char** argv) {
   const InvertedIndex index(docConfig.termCount, documents);
   const double buildSeconds = buildTimer.seconds();
   const OldIndex old = buildOldIndex(index);
-  std::printf("== query_bench: block-max DAAT kernel vs seed flat-VByte TAAT ==\n");
+  std::printf("== query_bench: MaxScore kernel vs seed flat-VByte TAAT ==\n");
   std::printf("%u docs, %u terms, %zu postings | old %.2f MB flat VByte, "
               "new %.2f MB block codec (built in %.2fs)\n\n",
               docConfig.docCount, docConfig.termCount, index.totalPostings(),
@@ -302,7 +300,7 @@ int main(int argc, char** argv) {
                            static_cast<double>(oldScanned)
                      : 1.0;
   std::printf("skip    | %llu blocks decoded, %llu skipped undecoded "
-              "(%.1f%%), %llu heap prunes | DAAT scanned %.1f%% of the "
+              "(%.1f%%), %llu heap prunes | MaxScore scanned %.1f%% of the "
               "exhaustive postings\n",
               static_cast<unsigned long long>(daatStats.blocksDecoded),
               static_cast<unsigned long long>(daatStats.blocksSkipped),
@@ -333,18 +331,9 @@ int main(int argc, char** argv) {
     const auto result = topKDisjunctiveTaat(index, q, k, params);
     if (!result.empty()) sink += result[0].score;
   });
-  const double maxscoreQps = timeTrace([&](const std::vector<TermId>& q) {
-    const auto result = topKMaxScore(index, q, k, params);
-    if (!result.empty()) sink += result[0].score;
-  });
-  const double wandQps = timeTrace([&](const std::vector<TermId>& q) {
-    const auto result = topKWand(index, q, k, params);
-    if (!result.empty()) sink += result[0].score;
-  });
   const double speedup = daatQps / oldQps;
-  std::printf("qps     | old %.0f, DAAT %.0f (%.2fx), taat %.0f, "
-              "maxscore %.0f, wand %.0f [sink %.3f]\n",
-              oldQps, daatQps, speedup, taatQps, maxscoreQps, wandQps, sink);
+  std::printf("qps     | old %.0f, MaxScore %.0f (%.2fx), taat %.0f [sink %.3f]\n",
+              oldQps, daatQps, speedup, taatQps, sink);
 
   // -- Segment: write to disk, reopen cold via mmap, serve warm ---------
   const std::string segPath =
@@ -439,8 +428,6 @@ int main(int argc, char** argv) {
   json.field("old_qps", oldQps);
   json.field("daat_qps", daatQps);
   json.field("taat_qps", taatQps);
-  json.field("maxscore_qps", maxscoreQps);
-  json.field("wand_qps", wandQps);
   json.field("speedup_disjunctive", speedup);
   json.endObject();
   json.key("skipping").beginObject();

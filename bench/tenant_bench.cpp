@@ -27,10 +27,14 @@
 // weights 16:1 keep batch's bounded backlog behind interactive work.
 //
 // Each phase pair (solo, burst) is repeated --reps times and the gate
-// compares the *minimum* p99 across reps: OS scheduler noise — the
-// dominant tail source when many emulated machines share one physical
-// core — is strictly additive, so the min over repetitions estimates the
-// true quantile where any single run may carry a multi-ms wakeup spike.
+// compares the *minimum* p99 across reps, each p99 an exact quantile of
+// the phase's per-query latencies as execute() returned them (the
+// broker's log-bucket histograms would quantise the ratio into steps of
+// 2^(1/12), letting one bucket flip decide the gate). OS scheduler
+// noise — the dominant tail source when many emulated machines share one
+// physical core — is strictly additive, so the min over repetitions
+// estimates the true quantile where any single run may carry a multi-ms
+// wakeup spike.
 //
 // Emits BENCH_tenant.json; --check exits nonzero unless the interactive
 // p99 under burst stays within --p99-budget (1.25x) of its no-burst
@@ -57,6 +61,7 @@
 #include "serve/broker.hpp"
 #include "util/flags.hpp"
 #include "util/json_writer.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload/zipf.hpp"
@@ -79,7 +84,17 @@ struct PhaseOutcome {
   double wallSeconds = 0.0;
   /// The broker's /debug/tenants payload, captured while traffic was live.
   std::string tenantsJson;
+  /// Per tenant: latency of every served (not rejected) query, seconds.
+  std::vector<std::vector<double>> servedSeconds;
 };
+
+/// Exact quantile of one tenant's served-query latencies in a phase.
+double servedQuantile(const PhaseOutcome& phase, const std::string& tenant, double q) {
+  for (std::size_t t = 0; t < phase.load.tenants.size(); ++t)
+    if (phase.load.tenants[t].name == tenant)
+      return quantile(phase.servedSeconds.at(t), q);
+  return 0.0;
+}
 
 /// The broker currently serving traffic, published for the HTTP
 /// introspection handlers (phases create and destroy brokers; the
@@ -119,10 +134,16 @@ PhaseOutcome runPhase(const std::string& name, const Instance& instance,
     loops[s].offsets = bench::arrivalOffsets(streams[s].queries, streams[s].qps);
     loops[s].clients = streams[s].clients;
   }
-  bench::replayOpenLoop(loops, [&](std::size_t s, std::size_t i) {
-    broker.execute(trace[i % trace.size()], streams[s].tenant);
-  });
   PhaseOutcome outcome;
+  outcome.servedSeconds.resize(config.tenants.size());
+  std::mutex servedMutex;
+  bench::replayOpenLoop(loops, [&](std::size_t s, std::size_t i) {
+    const serve::QueryResult result =
+        broker.execute(trace[i % trace.size()], streams[s].tenant);
+    if (result.rejected || result.cancelled) return;
+    std::lock_guard lock(servedMutex);
+    outcome.servedSeconds.at(result.tenant).push_back(result.latencySeconds);
+  });
   outcome.name = name;
   outcome.wallSeconds = timer.seconds();
   outcome.tenantsJson = broker.tenantsJson();
@@ -229,7 +250,7 @@ int main(int argc, char** argv) {
   // -- Corpus, skewed partitioned index, shared trace ----------------------
   // Same recipe as serve_bench: Zipf term draws below a pruned stopword
   // head, per-shard service demand measured by replaying the exact trace
-  // through the block-max kernel (the workers will scan the same postings).
+  // through the served kernel (the workers will scan the same postings).
   SyntheticDocConfig docConfig;
   docConfig.seed = seed;
   docConfig.docCount = static_cast<std::uint32_t>(flags.integer("docs"));
@@ -404,15 +425,15 @@ int main(int argc, char** argv) {
                       Table::num(static_cast<double>(tenant.rejectedOverShare +
                                                      tenant.rejectedNoToken)),
                       Table::num(static_cast<double>(tenant.shedTasks)),
-                      Table::num(tenant.p50 * 1e3),
-                      Table::num(tenant.p99 * 1e3)});
+                      Table::num(servedQuantile(*phase, tenant.name, 0.50) * 1e3),
+                      Table::num(servedQuantile(*phase, tenant.name, 0.99) * 1e3)});
       }
     }
   }
   table.print();
 
-  // Min p99 over reps per phase (jitter is additive — see header comment);
-  // counters sum over reps.
+  // Min over reps per phase of the exact interactive p99 (jitter is
+  // additive — see header comment); counters sum over reps.
   double soloP99 = 0.0, burstP99 = 0.0;
   std::uint64_t batchOverShare = 0, batchNoToken = 0;
   std::uint64_t interactiveSheds = 0, interactiveExpired = 0;
@@ -425,10 +446,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "tenant_bench: ObservedLoad missing tenant rows\n");
       return 1;
     }
-    soloP99 = rep == 0 ? soloInteractive->p99
-                       : std::min(soloP99, soloInteractive->p99);
-    burstP99 = rep == 0 ? burstInteractive->p99
-                        : std::min(burstP99, burstInteractive->p99);
+    const double solo = servedQuantile(solos[rep], "interactive", 0.99);
+    const double burst = servedQuantile(bursts[rep], "interactive", 0.99);
+    soloP99 = rep == 0 ? solo : std::min(soloP99, solo);
+    burstP99 = rep == 0 ? burst : std::min(burstP99, burst);
     batchOverShare += burstBatch->rejectedOverShare;
     batchNoToken += burstBatch->rejectedNoToken;
     interactiveSheds += burstInteractive->shedTasks;

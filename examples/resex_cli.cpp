@@ -27,7 +27,6 @@
 #include "core/baselines.hpp"
 #include "core/sra.hpp"
 #include "index/partition.hpp"
-#include "index/wand.hpp"
 #include "metrics/report.hpp"
 #include "model/bounds.hpp"
 #include "obs/export.hpp"
@@ -176,7 +175,7 @@ int cmdQuickstart(Flags& flags) {
     const std::vector<TermId> query{
         static_cast<TermId>(termPick.sample(rng) - 1),
         static_cast<TermId>(termPick.sample(rng) - 1)};
-    topKHybrid(index, query, 10, Bm25Params{});
+    topKDisjunctive(index, query, 10, Bm25Params{});
   }
   const auto& latency =
       obs::MetricsRegistry::global().histogram("query.latency_us");

@@ -57,10 +57,7 @@ BlockPostingList::BlockPostingList(const std::vector<DocId>& docs,
                                    const std::vector<std::uint32_t>& freqs,
                                    std::span<const std::uint32_t> docLengths,
                                    double avgDocLength, const Bm25Params& params)
-    : count_(docs.size()),
-      builtAvgDocLength_(avgDocLength),
-      builtK1_(params.k1),
-      builtB_(params.b) {
+    : count_(docs.size()) {
   if (docs.size() != freqs.size())
     throw std::invalid_argument("BlockPostingList: docs/freqs size mismatch");
   ownedBlocks_.reserve((docs.size() + kPostingBlockSize - 1) / kPostingBlockSize);
@@ -126,8 +123,7 @@ BlockPostingList::BlockPostingList(const std::vector<DocId>& docs,
 
 BlockPostingList BlockPostingList::viewOf(
     std::span<const PostingBlockMeta> blocks, const std::uint8_t* payload,
-    std::size_t payloadBytes, std::size_t postingCount, std::uint32_t docCount,
-    double builtAvgDocLength, const Bm25Params& builtParams) {
+    std::size_t payloadBytes, std::size_t postingCount, std::uint32_t docCount) {
   // The planes are untrusted bytes (an mmap'd file): prove every invariant
   // the decode paths rely on before handing out a cursor-able view. Blocks
   // must tile the posting count, doc ranges must be strictly increasing
@@ -205,9 +201,6 @@ BlockPostingList BlockPostingList::viewOf(
   list.blockCount_ = blocks.size();
   list.payloadBytes_ = payloadBytes;
   list.count_ = postingCount;
-  list.builtAvgDocLength_ = builtAvgDocLength;
-  list.builtK1_ = builtParams.k1;
-  list.builtB_ = builtParams.b;
   return list;
 }
 

@@ -64,7 +64,8 @@ struct PostingBlockMeta {
   /// Max of tf*(k1+1)/(tf+norm(len)) over the block's postings, at the
   /// statistics the list was built with. Multiply by a query idf to get a
   /// tight per-block score bound; only valid when the query scores with
-  /// the same avgDocLength and Bm25Params (see boundsExactFor()).
+  /// the same avgDocLength and Bm25Params. Written and validated as part
+  /// of the segment format; the query kernel prunes with whole-list bounds.
   double maxWeight = 0.0;
 };
 
@@ -104,9 +105,7 @@ class BlockPostingList {
                                  const std::uint8_t* payload,
                                  std::size_t payloadBytes,
                                  std::size_t postingCount,
-                                 std::uint32_t docCount,
-                                 double builtAvgDocLength,
-                                 const Bm25Params& builtParams);
+                                 std::uint32_t docCount);
 
   // Owning lists hold vectors that back raw view pointers: moves keep the
   // buffers (and so the pointers) alive; copies would silently alias the
@@ -144,16 +143,6 @@ class BlockPostingList {
     return payloadBytes_ + blockCount_ * sizeof(PostingBlockMeta);
   }
 
-  /// True when the precomputed per-block maxWeight is an exact bound for
-  /// queries scoring with these statistics.
-  bool boundsExactFor(double avgDocLength, const Bm25Params& params) const noexcept {
-    return avgDocLength == builtAvgDocLength_ && params.k1 == builtK1_ &&
-           params.b == builtB_;
-  }
-
-  double builtAvgDocLength() const noexcept { return builtAvgDocLength_; }
-  Bm25Params builtParams() const noexcept { return {builtK1_, builtB_}; }
-
  private:
   // Owning storage; empty for views.
   std::vector<std::uint8_t> ownedData_;        // payload + kPayloadPadBytes
@@ -165,9 +154,6 @@ class BlockPostingList {
   std::size_t blockCount_ = 0;
   std::size_t payloadBytes_ = 0;  // encoded bytes, excluding pad
   std::size_t count_ = 0;
-  double builtAvgDocLength_ = 0.0;
-  double builtK1_ = 0.0;
-  double builtB_ = 0.0;
 };
 
 }  // namespace resex

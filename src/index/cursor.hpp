@@ -1,5 +1,5 @@
 // Posting-list cursors and per-query scratch arenas — the zero-allocation
-// substrate of the DAAT query kernel.
+// substrate of the MaxScore query kernel.
 //
 // A TermCursor walks one BlockPostingList document-at-a-time but decodes
 // lazily: positioning on a block's first document and skipping past whole
@@ -28,24 +28,27 @@ struct CursorBuffer {
   std::array<std::uint32_t, kPostingBlockSize> freqs;
 };
 
-/// Forward iterator over one posting list with block-max metadata access.
-/// doc() is valid immediately after positioning on a block (no decode);
-/// freq() and intra-block advances force the decode.
+/// Forward iterator over one posting list. doc() is valid immediately
+/// after positioning on a block (no decode); freq() and intra-block
+/// advances force the decode.
 class TermCursor {
  public:
+  /// doc() of an exhausted cursor: above every dense id a list can hold.
+  static constexpr DocId kEndDoc = ~DocId{0};
+
   void init(const BlockPostingList* list, double idf, double upperBound,
-            bool preciseBounds, CursorBuffer* buffer, ExecStats* stats) {
+            CursorBuffer* buffer, ExecStats* stats) {
     list_ = list;
     buffer_ = buffer;
     stats_ = stats;
     idf_ = idf;
     upperBound_ = upperBound;
-    precise_ = preciseBounds;
     block_ = 0;
     loadBlockFront();
   }
 
   bool exhausted() const noexcept { return meta_ == nullptr; }
+  /// Current document, or kEndDoc once exhausted.
   DocId doc() const noexcept { return cur_; }
   double idf() const noexcept { return idf_; }
   /// Global (whole-list) upper bound on this term's contribution.
@@ -55,19 +58,6 @@ class TermCursor {
   std::uint32_t freq() {
     ensureDecoded();
     return buffer_->freqs[pos_];
-  }
-
-  /// Last document of the current block — the skip boundary.
-  DocId blockLastDoc() const noexcept { return meta_->lastDoc; }
-
-  /// Upper bound on this term's contribution within the current block.
-  /// Uses the precomputed build-time weight when the query scores with
-  /// the list's own statistics, else recomputes from maxTf/minDocLen
-  /// (always valid, looser under global stats with a larger avgDocLength).
-  double blockMaxScore(double avgDocLength, const Bm25Params& params) const {
-    if (precise_) return idf_ * meta_->maxWeight;
-    return bm25TermScore(idf_, meta_->maxTf, meta_->minDocLen, avgDocLength,
-                         params);
   }
 
   /// Advances one posting (decodes the current block if needed).
@@ -93,6 +83,7 @@ class TermCursor {
         ++block_;
         if (block_ >= list_->blockCount()) {
           meta_ = nullptr;
+          cur_ = kEndDoc;
           return;
         }
         if (list_->block(block_).lastDoc >= target) break;
@@ -120,6 +111,7 @@ class TermCursor {
   void loadBlockFront() noexcept {
     if (block_ >= list_->blockCount()) {
       meta_ = nullptr;
+      cur_ = kEndDoc;
       return;
     }
     meta_ = &list_->block(block_);
@@ -148,7 +140,6 @@ class TermCursor {
   std::uint32_t count_ = 0;
   std::size_t block_ = 0;
   bool decoded_ = false;
-  bool precise_ = false;
   double idf_ = 0.0;
   double upperBound_ = 0.0;
 };
@@ -217,9 +208,11 @@ class QueryScratch {
   }
 
   std::vector<TermId> terms;          // deduplicated query terms
-  std::vector<TermCursor> cursors;    // one per non-empty posting list
+  std::vector<TermCursor> cursors;    // one per non-empty list, term order
   std::vector<std::size_t> order;     // cursor ordering workspace
   std::vector<double> cumBound;       // MaxScore prefix bounds
+  std::vector<double> contrib;        // MaxScore candidate contributions
+  std::vector<std::uint64_t> matched; // ... and which cursors they are from
   std::vector<ScoredDoc> heapStorage;
   TopKHeap heap;
   ExecStats exec;                     // reset by each executor invocation

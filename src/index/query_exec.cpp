@@ -1,6 +1,7 @@
 #include "index/query_exec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/metrics.hpp"
@@ -8,8 +9,11 @@
 
 namespace resex {
 
-namespace detail {
+namespace {
 
+/// Shared query-path instruments: every top-k executor records into the
+/// same `query.latency_us` histogram and a per-algorithm
+/// `query.algo.<name>` counter.
 obs::Histogram& queryLatencyHistogram() {
   static obs::Histogram& hist =
       obs::MetricsRegistry::global().histogram("query.latency_us");
@@ -20,6 +24,15 @@ obs::Counter& queryCounter(const char* algo) {
   return obs::MetricsRegistry::global().counter(std::string("query.algo.") + algo);
 }
 
+/// Per-query scoring context resolved from global-vs-local statistics.
+struct ScoreContext {
+  std::size_t docCount = 0;
+  double avgLen = 0.0;
+};
+
+/// Deduplicates `terms` into scratch.terms, resets scratch.exec, and
+/// initializes one cursor per non-empty posting list in sorted-term order
+/// (idf from effectiveDf).
 ScoreContext buildCursors(const InvertedIndex& index,
                           const std::vector<TermId>& terms,
                           const Bm25Params& params, const GlobalStats* global,
@@ -29,7 +42,7 @@ ScoreContext buildCursors(const InvertedIndex& index,
   ctx.avgLen = global ? global->avgDocLength : index.averageDocLength();
   // Deduplicate repeated query terms (their contributions would double);
   // sorted order also fixes the floating-point summation order, keeping
-  // DAAT scores bit-identical to the TAAT reference.
+  // the kernels' scores bit-identical to the TAAT reference.
   scratch.terms.assign(terms.begin(), terms.end());
   std::sort(scratch.terms.begin(), scratch.terms.end());
   scratch.terms.erase(std::unique(scratch.terms.begin(), scratch.terms.end()),
@@ -44,13 +57,15 @@ ScoreContext buildCursors(const InvertedIndex& index,
     // tf/(tf+norm) < 1, so idf*(k1+1) bounds any contribution.
     scratch.cursors.emplace_back();
     scratch.cursors.back().init(&pl, idf, idf * (params.k1 + 1.0),
-                                pl.boundsExactFor(ctx.avgLen, params),
                                 &scratch.buffer(scratch.cursors.size() - 1),
                                 &scratch.exec);
   }
   return ctx;
 }
 
+/// Accumulates scratch.exec into `stats` (may be null) and records the
+/// block counters (`query.blocks_decoded` / `query.blocks_skipped` /
+/// `query.heap_threshold_prunes`).
 void finishExec(const QueryScratch& scratch, ExecStats* stats) {
   if (stats != nullptr) {
     stats->postingsScanned += scratch.exec.postingsScanned;
@@ -70,122 +85,143 @@ void finishExec(const QueryScratch& scratch, ExecStats* stats) {
   prunes.add(scratch.exec.heapThresholdPrunes);
 }
 
-std::span<const ScoredDoc> daatBlockMax(const InvertedIndex& index,
-                                        const std::vector<TermId>& terms,
-                                        std::size_t k, const Bm25Params& params,
-                                        const GlobalStats* global,
-                                        QueryScratch& scratch) {
+/// The MaxScore core (no tracing/counter side effects; fills scratch.exec).
+std::span<const ScoredDoc> maxScore(const InvertedIndex& index,
+                                    const std::vector<TermId>& terms,
+                                    std::size_t k, const Bm25Params& params,
+                                    const GlobalStats* global,
+                                    QueryScratch& scratch) {
   scratch.exec = ExecStats{};
   scratch.heapStorage.clear();
   if (k == 0 || terms.empty()) return {};
   const ScoreContext ctx = buildCursors(index, terms, params, global, scratch);
   std::vector<TermCursor>& cursors = scratch.cursors;
-  if (cursors.empty()) return {};
+  const std::size_t n = cursors.size();
+  if (n == 0) return {};
 
+  // order[] ranks the cursors (which stay in term order) by ascending
+  // upper bound; cumBound[i] sums the bounds of order[0..i].
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&cursors](std::size_t a, std::size_t b) {
+    const double ua = cursors[a].upperBound();
+    const double ub = cursors[b].upperBound();
+    return ua != ub ? ua < ub : a < b;
+  });
+  std::vector<double>& cumBound = scratch.cumBound;
+  cumBound.resize(n);
+  double running = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    running += cursors[order[i]].upperBound();
+    cumBound[i] = running;
+  }
+  // A candidate's contributions by cursor, and a bitset of the cursors
+  // that matched it: word 0 lives in a register, words 1.. (queries of
+  // more than 64 terms) in the arena, kept all-zero between candidates.
+  const std::size_t words = (n + 63) / 64;
+  scratch.contrib.resize(n);
+  scratch.matched.assign(words, 0);
+
+  // The hot loop reads the arena through local pointers: the cursors'
+  // stores cannot alias a local, so nothing is reloaded per posting.
+  TermCursor* const cur = cursors.data();
+  const std::size_t* const rank = order.data();
+  const double* const bound = cumBound.data();
+  double* const contrib = scratch.contrib.data();
+  std::uint64_t* const matched = scratch.matched.data();
+  const std::uint32_t* const docLengths = index.docLengths().data();
+  const double avgLen = ctx.avgLen;
   scratch.heap.reset(&scratch.heapStorage, k);
   TopKHeap& heap = scratch.heap;
-  // Active cursor indices, kept sorted by head document each round.
-  std::vector<std::size_t>& order = scratch.order;
-  order.resize(cursors.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::size_t scored = 0;
+  std::size_t prunes = 0;
 
-  for (;;) {
-    order.erase(
-        std::remove_if(order.begin(), order.end(),
-                       [&cursors](std::size_t i) { return cursors[i].exhausted(); }),
-        order.end());
-    if (order.empty()) break;
-    std::sort(order.begin(), order.end(), [&cursors](std::size_t a, std::size_t b) {
-      return cursors[a].doc() < cursors[b].doc();
-    });
-
-    // Pivot: first prefix whose accumulated global upper bounds could
-    // beat the heap threshold.
-    const double theta = heap.threshold();
-    double acc = 0.0;
-    std::size_t pivot = order.size();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      acc += cursors[order[i]].upperBound();
-      if (acc > theta) {
-        pivot = i;
+  // Lists rank[0..firstEssential) are non-essential: together they cannot
+  // beat the threshold, so a document only they contain never enters the
+  // heap. Candidates come from the essential lists alone.
+  std::size_t firstEssential = 0;
+  double theta = heap.threshold();
+  const auto minEssentialDoc = [&] {
+    DocId head = TermCursor::kEndDoc;
+    for (std::size_t i = firstEssential; i < n; ++i)
+      head = std::min(head, cur[rank[i]].doc());
+    return head;
+  };
+  std::uint64_t matchedLow = 0;
+  const auto match = [&](std::size_t c, double s) {
+    contrib[c] = s;
+    if (c < 64)
+      matchedLow |= std::uint64_t{1} << c;
+    else
+      matched[c / 64] |= std::uint64_t{1} << (c % 64);
+  };
+  DocId candidate = minEssentialDoc();
+  while (candidate != TermCursor::kEndDoc) {
+    const DocId doc = candidate;
+    const double docLength = docLengths[doc];
+    // Score the essential lists on the candidate, advance them, and find
+    // the next candidate on the way.
+    double partial = 0.0;
+    DocId next = TermCursor::kEndDoc;
+    for (std::size_t i = firstEssential; i < n; ++i) {
+      TermCursor& c = cur[rank[i]];
+      if (c.doc() == doc) {
+        const double s = bm25TermScore(c.idf(), c.freq(), docLength, avgLen, params);
+        match(rank[i], s);
+        partial += s;
+        c.next();
+      }
+      next = std::min(next, c.doc());
+    }
+    candidate = next;
+    // Probe the non-essential lists, largest bound first, while the
+    // candidate can still beat the threshold.
+    bool pruned = false;
+    for (std::size_t i = firstEssential; i-- > 0;) {
+      if (partial + bound[i] <= theta) {
+        pruned = true;
         break;
       }
+      TermCursor& c = cur[rank[i]];
+      c.nextGeq(doc);
+      if (c.doc() != doc) continue;
+      const double s = bm25TermScore(c.idf(), c.freq(), docLength, avgLen, params);
+      match(rank[i], s);
+      partial += s;
     }
-    if (pivot == order.size()) {
-      // Even all remaining lists together cannot beat theta.
-      ++scratch.exec.heapThresholdPrunes;
+    // Sum the contributions in term order, so the score is bit-identical
+    // to TAAT's, clearing the bitset on the way.
+    double score = 0.0;
+    for (std::uint64_t bits = matchedLow; bits != 0; bits &= bits - 1)
+      score += contrib[static_cast<std::size_t>(std::countr_zero(bits))];
+    matchedLow = 0;
+    for (std::size_t w = 1; w < words; ++w) {
+      for (std::uint64_t bits = matched[w]; bits != 0; bits &= bits - 1)
+        score += contrib[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      matched[w] = 0;
+    }
+    if (pruned) {
+      ++prunes;
+      continue;
+    }
+    ++scored;
+    if (score < theta) continue;  // cannot enter the full heap
+    heap.offer(score, index.docId(doc));
+    if (heap.threshold() == theta) continue;
+    theta = heap.threshold();
+    const std::size_t before = firstEssential;
+    while (firstEssential < n && bound[firstEssential] <= theta) ++firstEssential;
+    if (firstEssential == n) {
+      ++prunes;  // nothing left can beat the heap
       break;
     }
-    const DocId pivotDoc = cursors[order[pivot]].doc();
-    // Absorb every list already parked on the pivot document: their
-    // contributions must be part of any bound on it.
-    while (pivot + 1 < order.size() && cursors[order[pivot + 1]].doc() == pivotDoc)
-      ++pivot;
-
-    if (cursors[order[0]].doc() == pivotDoc) {
-      // Shallow check: the *block-local* bounds of the lists parked on
-      // the pivot document — much tighter than the global bounds. The
-      // nextGeq aligns each pre-pivot cursor's block without decoding it.
-      double shallow = 0.0;
-      for (std::size_t i = 0; i <= pivot; ++i) {
-        TermCursor& c = cursors[order[i]];
-        c.nextGeq(pivotDoc);
-        if (!c.exhausted()) shallow += c.blockMaxScore(ctx.avgLen, params);
-      }
-      if (shallow <= theta) {
-        // No document in these blocks can beat theta: jump past the
-        // earliest block boundary — but never past the next list's head,
-        // whose contribution the shallow sum did not include.
-        ++scratch.exec.heapThresholdPrunes;
-        DocId jumpTo = ~DocId{0};
-        bool anyLive = false;
-        for (std::size_t i = 0; i <= pivot; ++i) {
-          const TermCursor& c = cursors[order[i]];
-          if (c.exhausted()) continue;
-          jumpTo = std::min(jumpTo, c.blockLastDoc());
-          anyLive = true;
-        }
-        if (!anyLive) continue;  // next round drops the exhausted cursors
-        if (pivot + 1 < order.size())
-          jumpTo = std::min(jumpTo, cursors[order[pivot + 1]].doc() - 1);
-        for (std::size_t i = 0; i <= pivot; ++i) {
-          TermCursor& c = cursors[order[i]];
-          if (!c.exhausted() && c.doc() <= jumpTo) c.nextGeq(jumpTo + 1);
-        }
-        continue;
-      }
-      // Score the pivot document. Iterating cursors in storage (sorted
-      // term) order keeps the summation order identical to TAAT.
-      const double docLength = index.docLength(pivotDoc);
-      double score = 0.0;
-      for (TermCursor& c : cursors) {
-        if (!c.exhausted() && c.doc() == pivotDoc) {
-          score += bm25TermScore(c.idf(), c.freq(), docLength, ctx.avgLen, params);
-          c.next();
-        }
-      }
-      ++scratch.exec.candidatesScored;
-      heap.offer(score, index.docId(pivotDoc));
-    } else {
-      // Advance the pre-pivot list with the largest upper bound (the
-      // classic pick) straight to the pivot document. Only lists whose
-      // head is strictly before the pivot qualify — a list already parked
-      // on the pivot document would make the seek a no-op and stall.
-      std::size_t advance = order[0];
-      for (std::size_t i = 1; i < pivot; ++i) {
-        if (cursors[order[i]].doc() >= pivotDoc) break;  // heads are sorted
-        if (cursors[order[i]].upperBound() > cursors[advance].upperBound())
-          advance = order[i];
-      }
-      cursors[advance].nextGeq(pivotDoc);
-    }
+    if (firstEssential != before) candidate = minEssentialDoc();
   }
+  scratch.exec.candidatesScored += scored;
+  scratch.exec.heapThresholdPrunes += prunes;
   return heap.finish();
 }
-
-}  // namespace detail
-
-namespace {
 
 std::vector<ScoredDoc> selectTopK(std::vector<ScoredDoc>&& scored, std::size_t k) {
   if (scored.size() > k) {
@@ -205,11 +241,11 @@ std::span<const ScoredDoc> topKDisjunctiveInto(
     const Bm25Params& params, QueryScratch& scratch, ExecStats* stats,
     const GlobalStats* global) {
   RESEX_TRACE_SPAN("query.disjunctive");
-  static obs::Counter& queries = detail::queryCounter("disjunctive");
+  static obs::Counter& queries = queryCounter("disjunctive");
   queries.add();
-  obs::ScopedLatencyUs latency(detail::queryLatencyHistogram());
-  const auto results = detail::daatBlockMax(index, terms, k, params, global, scratch);
-  detail::finishExec(scratch, stats);
+  obs::ScopedLatencyUs latency(queryLatencyHistogram());
+  const auto results = maxScore(index, terms, k, params, global, scratch);
+  finishExec(scratch, stats);
   return results;
 }
 
@@ -228,9 +264,9 @@ std::vector<ScoredDoc> topKDisjunctiveTaat(const InvertedIndex& index,
                                            ExecStats* stats,
                                            const GlobalStats* global) {
   RESEX_TRACE_SPAN("query.disjunctive_taat");
-  static obs::Counter& queries = detail::queryCounter("disjunctive_taat");
+  static obs::Counter& queries = queryCounter("disjunctive_taat");
   queries.add();
-  obs::ScopedLatencyUs latency(detail::queryLatencyHistogram());
+  obs::ScopedLatencyUs latency(queryLatencyHistogram());
   QueryScratch& scratch = threadLocalQueryScratch();
   const std::size_t docCount =
       global ? global->documentCount : index.documentCount();
@@ -279,22 +315,22 @@ std::span<const ScoredDoc> topKConjunctiveInto(
     const Bm25Params& params, QueryScratch& scratch, ExecStats* stats,
     const GlobalStats* global) {
   RESEX_TRACE_SPAN("query.conjunctive");
-  static obs::Counter& queries = detail::queryCounter("conjunctive");
+  static obs::Counter& queries = queryCounter("conjunctive");
   queries.add();
-  obs::ScopedLatencyUs latency(detail::queryLatencyHistogram());
+  obs::ScopedLatencyUs latency(queryLatencyHistogram());
   scratch.exec = ExecStats{};
   scratch.heapStorage.clear();
   if (k == 0 || terms.empty()) {
-    detail::finishExec(scratch, stats);
+    finishExec(scratch, stats);
     return {};
   }
-  const detail::ScoreContext ctx =
-      detail::buildCursors(index, terms, params, global, scratch);
+  const ScoreContext ctx =
+      buildCursors(index, terms, params, global, scratch);
   std::vector<TermCursor>& cursors = scratch.cursors;
   // A term with an empty list empties the intersection (buildCursors
   // drops empty lists, so compare against the deduplicated term count).
   if (cursors.empty() || cursors.size() != scratch.terms.size()) {
-    detail::finishExec(scratch, stats);
+    finishExec(scratch, stats);
     return {};
   }
 
@@ -337,7 +373,7 @@ std::span<const ScoredDoc> topKConjunctiveInto(
     driver.next();
   }
   const auto results = scratch.heap.finish();
-  detail::finishExec(scratch, stats);
+  finishExec(scratch, stats);
   return results;
 }
 

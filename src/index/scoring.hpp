@@ -1,6 +1,6 @@
 // Shared BM25 scoring primitives and query-execution plumbing types.
 //
-// Every executor (TAAT reference, DAAT block-max, MaxScore, WAND) scores
+// Every executor (the MaxScore kernel, the TAAT oracle, conjunctive) scores
 // with the same formula and the same per-query statistics, so the types
 // live here — below block_codec/cursor and query_exec — to keep the
 // include graph acyclic: block_codec needs Bm25Params to precompute
@@ -37,10 +37,11 @@ struct ExecStats {
   std::size_t candidatesScored = 0;
   /// Posting blocks decoded into a cursor buffer.
   std::size_t blocksDecoded = 0;
-  /// Posting blocks passed over without decoding (block-max skipping).
+  /// Posting blocks passed over without decoding (nextGeq skipping).
   std::size_t blocksSkipped = 0;
-  /// Pruning decisions driven by the top-k heap threshold (shallow
-  /// block-bound rejections and global-bound terminations).
+  /// Pruning decisions driven by the top-k heap threshold (candidates
+  /// rejected by the upper-bound check, and the stop once no list can
+  /// beat the threshold).
   std::size_t heapThresholdPrunes = 0;
 };
 

@@ -382,7 +382,7 @@ BlockPostingList MappedSegment::postings(TermId term) const {
     return BlockPostingList::viewOf(
         metas_.subspan(entry.blockBegin, entry.blockCount),
         payload_ + entry.payloadOffset, entry.payloadBytes, entry.postingCount,
-        footer_.docCount, footer_.avgDocLength, {footer_.bm25K1, footer_.bm25B});
+        footer_.docCount);
   } catch (const std::invalid_argument& e) {
     throw SegmentFormatError("segment " + path_ + ": term " +
                              std::to_string(term) + ": " + e.what());

@@ -104,8 +104,8 @@ struct SegmentFooter {
   std::uint32_t docCount = 0;
   std::uint64_t totalPostings = 0;
   std::uint64_t totalBlocks = 0;
-  /// Statistics the lists' block bounds were built with (see
-  /// BlockPostingList::boundsExactFor).
+  /// Statistics the lists' block bounds (PostingBlockMeta::maxWeight)
+  /// were built with.
   double avgDocLength = 0.0;
   double bm25K1 = 0.0;
   double bm25B = 0.0;

@@ -38,33 +38,4 @@ std::uint64_t varbyteDecode(const std::vector<std::uint8_t>& bytes,
   return varbyteDecode(bytes.data(), bytes.size(), offset);
 }
 
-std::vector<std::uint8_t> encodeMonotone(const std::vector<std::uint32_t>& values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size() + 4);
-  std::uint32_t previous = 0;
-  bool first = true;
-  for (const std::uint32_t v : values) {
-    if (!first && v <= previous)
-      throw std::invalid_argument("encodeMonotone: sequence not strictly increasing");
-    varbyteEncode(first ? v : v - previous, out);
-    previous = v;
-    first = false;
-  }
-  return out;
-}
-
-std::vector<std::uint32_t> decodeMonotone(const std::vector<std::uint8_t>& bytes) {
-  std::vector<std::uint32_t> out;
-  std::size_t offset = 0;
-  std::uint32_t previous = 0;
-  bool first = true;
-  while (offset < bytes.size()) {
-    const auto delta = static_cast<std::uint32_t>(varbyteDecode(bytes, offset));
-    previous = first ? delta : previous + delta;
-    first = false;
-    out.push_back(previous);
-  }
-  return out;
-}
-
 }  // namespace resex

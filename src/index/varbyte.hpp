@@ -1,5 +1,5 @@
-// Variable-byte (VByte) encoding of unsigned integers and delta-encoded
-// monotone sequences — the standard posting-list compression baseline.
+// Variable-byte (VByte) encoding of unsigned integers — the codec of the
+// block codec's partial tail block.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +21,5 @@ std::uint64_t varbyteDecode(const std::vector<std::uint8_t>& bytes,
 /// is the hard read bound. Same throwing contract as the vector overload.
 std::uint64_t varbyteDecode(const std::uint8_t* bytes, std::size_t size,
                             std::size_t& offset);
-
-/// Delta + VByte encodes a strictly increasing sequence.
-std::vector<std::uint8_t> encodeMonotone(const std::vector<std::uint32_t>& values);
-
-/// Inverse of encodeMonotone.
-std::vector<std::uint32_t> decodeMonotone(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace resex

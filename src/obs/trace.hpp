@@ -30,7 +30,7 @@
 // the sampler dropped are never exported.
 //
 // Span naming follows the metrics convention: `subsystem.verb`
-// ("scheduler.build", "query.wand").
+// ("scheduler.build", "query.disjunctive").
 #pragma once
 
 #include <array>

@@ -24,7 +24,7 @@ struct SimulationConfig {
   double workUnitsPerCapacity = 0.01;
   /// Fraction of a shard's exhaustive scan cost a query actually incurs,
   /// in (0, 1]. The analytic cost model assumes full-scan work per query;
-  /// the materialized kernel prunes most of it (block-max DAAT — see
+  /// the materialized kernel prunes some of it (MaxScore — see
   /// bench/query_bench for the measured scanned/df ratio), which this
   /// factor folds back into the simulator. 1.0 keeps the exhaustive model.
   double pruningFactor = 1.0;

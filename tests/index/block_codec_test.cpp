@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "flat_vbyte.hpp"
 #include "index/cursor.hpp"
-#include "index/varbyte.hpp"
 #include "util/rng.hpp"
 
 namespace resex {
@@ -125,9 +125,6 @@ TEST(BlockCodec, BlockBoundsDominateEveryPosting) {
   const double avgLen = total / static_cast<double>(docLengths.size());
   const Bm25Params params;
   const BlockPostingList list(p.docs, p.freqs, docLengths, avgLen, params);
-  EXPECT_TRUE(list.boundsExactFor(avgLen, params));
-  EXPECT_FALSE(list.boundsExactFor(avgLen + 1.0, params));
-  EXPECT_FALSE(list.boundsExactFor(avgLen, Bm25Params{.k1 = 0.9, .b = 0.75}));
 
   const double idf = 1.7;  // any positive idf scales both sides equally
   std::size_t covered = 0;
@@ -162,7 +159,7 @@ TEST(BlockCodec, EmptyListBehaves) {
 
   CursorBuffer buffer;
   TermCursor cursor;
-  cursor.init(&list, 1.0, 1.0, false, &buffer, nullptr);
+  cursor.init(&list, 1.0, 1.0, &buffer, nullptr);
   EXPECT_TRUE(cursor.exhausted());
 }
 
@@ -215,7 +212,7 @@ TEST(BlockCodec, CursorNextGeqMatchesLinearReference) {
     const BlockPostingList list(p.docs, p.freqs);
     CursorBuffer buffer;
     TermCursor cursor;
-    cursor.init(&list, 1.0, 1.0, false, &buffer, nullptr);
+    cursor.init(&list, 1.0, 1.0, &buffer, nullptr);
     DocId target = 0;
     while (!cursor.exhausted()) {
       target += static_cast<DocId>(rng.below(2 * gapBound + 8));
@@ -245,7 +242,7 @@ TEST(BlockCodec, CursorSkipsBlocksWithoutDecoding) {
   CursorBuffer buffer;
   ExecStats stats;
   TermCursor cursor;
-  cursor.init(&list, 1.0, 1.0, false, &buffer, &stats);
+  cursor.init(&list, 1.0, 1.0, &buffer, &stats);
   cursor.nextGeq(list.block(7).firstDoc);
   EXPECT_EQ(cursor.doc(), list.block(7).firstDoc);
   EXPECT_EQ(stats.blocksSkipped, 7u);

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "flat_vbyte.hpp"
 #include "util/rng.hpp"
 
 namespace resex {
