@@ -227,24 +227,6 @@ void BM_Bm25TopKDisjunctive(benchmark::State& state) {
 }
 BENCHMARK(BM_Bm25TopKDisjunctive)->Unit(benchmark::kMicrosecond);
 
-void BM_Bm25TopKConjunctive(benchmark::State& state) {
-  SyntheticDocConfig config;
-  config.seed = 3;
-  config.docCount = 20000;
-  config.termCount = 4000;
-  const auto docs = generateDocuments(config);
-  const InvertedIndex index(config.termCount, docs);
-  Rng rng(11);
-  const ZipfSampler termPick(config.termCount, 0.9);
-  for (auto _ : state) {
-    const std::vector<TermId> query{
-        static_cast<TermId>(termPick.sample(rng) - 1),
-        static_cast<TermId>(termPick.sample(rng) - 1)};
-    benchmark::DoNotOptimize(topKConjunctive(index, query, 10, Bm25Params{}));
-  }
-}
-BENCHMARK(BM_Bm25TopKConjunctive)->Unit(benchmark::kMicrosecond);
-
 void BM_SyntheticGeneration(benchmark::State& state) {
   for (auto _ : state) {
     SyntheticConfig config;

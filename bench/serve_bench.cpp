@@ -30,8 +30,12 @@
 // withObservedCpuDemand + ClusterController, and the resulting mapping is
 // served too.
 //
-// Emits BENCH_serve.json; --check exits nonzero unless SRA's measured p99
-// strictly beats greedy's.
+// Emits BENCH_serve.json; --check exits nonzero unless SRA's p99 strictly
+// beats greedy's, both exact quantiles of the phase's per-query latencies
+// as execute() returned them (a histogram bucket can hold both tails and
+// read them as equal), and unless every phase's SLO window recorded each
+// of the phase's queries with a p99 within one of its buckets of the exact
+// p99.
 
 #include <atomic>
 #include <chrono>
@@ -54,6 +58,7 @@
 #include "serve/broker.hpp"
 #include "util/flags.hpp"
 #include "util/json_writer.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload/zipf.hpp"
@@ -62,12 +67,26 @@ namespace {
 
 using namespace resex;
 
+/// Resolution of an SloWindow's latency histogram (obs::SloWindow buckets
+/// are 8 per octave): the --check tolerance between its p99 and the exact.
+constexpr double kSloBucketsPerOctave = 8.0;
+
 struct PhaseOutcome {
   std::string name;
   serve::ObservedLoad load;
   double rho = 0.0;  // offered load at the mapping's hottest machine
   double wallSeconds = 0.0;
+  /// Queries the broker answered (served or rejected, not cancelled): what
+  /// the phase's SLO window must have recorded.
+  std::uint64_t answered = 0;
+  /// Latency of every served (not rejected) query, seconds.
+  std::vector<double> servedSeconds;
 };
+
+/// Exact quantile of a phase's served-query latencies.
+double servedQuantile(const PhaseOutcome& phase, double q) {
+  return quantile(phase.servedSeconds, q);
+}
 
 /// The broker currently serving traffic, published for the HTTP
 /// introspection handlers (phases create and destroy brokers; the
@@ -100,14 +119,21 @@ PhaseOutcome runPhase(const std::string& name, const Instance& instance,
   config.sloClass = name;
   serve::QueryBroker broker(instance, mapping, index, config);
   publishLiveBroker(&broker);
+  PhaseOutcome outcome;
+  outcome.name = name;
+  outcome.servedSeconds.reserve(trace.size());
+  std::mutex outcomeMutex;
   WallTimer timer;
   bench::OpenLoopStream loop;
   loop.offsets = bench::arrivalOffsets(trace.size(), qps);
   loop.clients = clients;
-  bench::replayOpenLoop(
-      {loop}, [&](std::size_t, std::size_t i) { broker.execute(trace[i]); });
-  PhaseOutcome outcome;
-  outcome.name = name;
+  bench::replayOpenLoop({loop}, [&](std::size_t, std::size_t i) {
+    const serve::QueryResult result = broker.execute(trace[i]);
+    if (result.cancelled) return;
+    std::lock_guard lock(outcomeMutex);
+    ++outcome.answered;
+    if (!result.rejected) outcome.servedSeconds.push_back(result.latencySeconds);
+  });
   outcome.wallSeconds = timer.seconds();
   outcome.load = broker.takeObservedLoad();
   publishLiveBroker(nullptr);
@@ -172,6 +198,7 @@ void writePhase(JsonWriter& json, const PhaseOutcome& outcome) {
   json.field("p50_seconds", outcome.load.p50);
   json.field("p95_seconds", outcome.load.p95);
   json.field("p99_seconds", outcome.load.p99);
+  json.field("served_p99_seconds", servedQuantile(outcome, 0.99));
   json.field("mean_seconds", outcome.load.meanLatency);
   json.key("machine_busy_seconds").beginArray();
   for (const double busy : outcome.load.machineBusySeconds) json.value(busy);
@@ -221,8 +248,8 @@ int main(int argc, char** argv) {
       .define("seed", "7", "random seed")
       .define("out", "BENCH_serve.json", "output record path")
       .define("check", "false",
-              "exit nonzero unless SRA beats greedy p99 (ObservedLoad and "
-              "SLO-window views both)")
+              "exit nonzero unless SRA beats greedy p99 (exact per-query "
+              "quantiles) and every phase's SLO window agrees with them")
       .define("tracing", "true",
               "request-scoped tracing during the serving phases (the "
               "introspection plane turns it on too)")
@@ -520,15 +547,20 @@ int main(int argc, char** argv) {
   }
 
   // -- Report --------------------------------------------------------------
+  // Latency columns are exact quantiles of the served queries.
+  const PhaseOutcome* const phases[] = {&initialPhase, &greedyPhase, &sraPhase,
+                                        &observedPhase};
   Table table({"mapping", "rho_hot", "complete", "p50 ms", "p95 ms", "p99 ms"});
-  for (const PhaseOutcome* phase :
-       {&initialPhase, &greedyPhase, &sraPhase, &observedPhase}) {
+  for (const PhaseOutcome* phase : phases) {
     table.addRow({phase->name, Table::num(phase->rho),
                   Table::pct(completeness(phase->load)),
-                  Table::num(phase->load.p50 * 1e3), Table::num(phase->load.p95 * 1e3),
-                  Table::num(phase->load.p99 * 1e3)});
+                  Table::num(servedQuantile(*phase, 0.50) * 1e3),
+                  Table::num(servedQuantile(*phase, 0.95) * 1e3),
+                  Table::num(servedQuantile(*phase, 0.99) * 1e3)});
   }
   table.print();
+  const double sraP99 = servedQuantile(sraPhase, 0.99);
+  const double greedyP99 = servedQuantile(greedyPhase, 0.99);
 
   JsonWriter json;
   json.beginObject();
@@ -555,7 +587,7 @@ int main(int argc, char** argv) {
   writePhase(json, sraPhase);
   writePhase(json, observedPhase);
   json.endObject();
-  json.field("sra_p99_beats_greedy", sraPhase.load.p99 < greedyPhase.load.p99);
+  json.field("sra_p99_beats_greedy", sraP99 < greedyP99);
   json.field("tracing", tracing);
   if (overheadReps > 0) {
     json.field("tracing_off_qps", qpsTracingOff);
@@ -568,28 +600,28 @@ int main(int argc, char** argv) {
   std::printf("record written to %s\n", flags.str("out").c_str());
 
   if (flags.boolean("check")) {
-    if (!(sraPhase.load.p99 < greedyPhase.load.p99)) {
+    if (!(sraP99 < greedyP99)) {
       std::fprintf(stderr, "CHECK FAILED: sra p99 %.4fms !< greedy p99 %.4fms\n",
-                   sraPhase.load.p99 * 1e3, greedyPhase.load.p99 * 1e3);
+                   sraP99 * 1e3, greedyP99 * 1e3);
       return 1;
     }
-    // Same gate through the windowed SLO path: the sliding-window
-    // quantiles must tell the same story as the harvest-window ones.
-    const obs::SloWindow* sraWindow = obs::SloRegistry::global().find("sra");
-    const obs::SloWindow* greedyWindow = obs::SloRegistry::global().find("greedy");
-    const obs::SloSnapshot sraSlo =
-        sraWindow ? sraWindow->snapshot() : obs::SloSnapshot{};
-    const obs::SloSnapshot greedySlo =
-        greedyWindow ? greedyWindow->snapshot() : obs::SloSnapshot{};
-    if (sraSlo.total == 0 || greedySlo.total == 0 ||
-        !(sraSlo.p99 < greedySlo.p99)) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: SLO window sra p99 %.4fms !< greedy p99 "
-                   "%.4fms (samples %llu vs %llu)\n",
-                   sraSlo.p99 * 1e3, greedySlo.p99 * 1e3,
-                   static_cast<unsigned long long>(sraSlo.total),
-                   static_cast<unsigned long long>(greedySlo.total));
-      return 1;
+    // The windowed SLO path must see the same phases: each window holds
+    // every query its phase answered, and its histogram p99 sits within
+    // one bucket of the exact one.
+    for (const PhaseOutcome* phase : phases) {
+      const obs::SloWindow* window = obs::SloRegistry::global().find(phase->name);
+      const obs::SloSnapshot slo = window ? window->snapshot() : obs::SloSnapshot{};
+      const double exact = servedQuantile(*phase, 0.99);
+      if (slo.total == 0 || slo.total != phase->answered ||
+          !(std::abs(std::log2(slo.p99 / exact)) <= 1.0 / kSloBucketsPerOctave)) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: SLO window %s: %llu samples for %llu answered "
+                     "queries, p99 %.4fms vs exact %.4fms\n",
+                     phase->name.c_str(), static_cast<unsigned long long>(slo.total),
+                     static_cast<unsigned long long>(phase->answered), slo.p99 * 1e3,
+                     exact * 1e3);
+        return 1;
+      }
     }
   }
   return 0;

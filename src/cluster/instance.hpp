@@ -83,6 +83,11 @@ class Instance {
   bool hasReplication() const noexcept { return replicated_; }
   /// Replica group of a shard (== the shard id itself when unreplicated).
   std::uint32_t replicaGroupOf(ShardId s) const { return replicaGroup_.at(s); }
+  /// Every shard's replica group, indexed by shard id (identity when
+  /// unreplicated) — what the replica-group constructor takes back.
+  const std::vector<std::uint32_t>& replicaGroups() const noexcept {
+    return replicaGroup_;
+  }
   /// All shards in a replica group (singleton when unreplicated). The
   /// span stays valid for the Instance's lifetime.
   std::span<const ShardId> replicasInGroup(std::uint32_t group) const;

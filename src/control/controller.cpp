@@ -18,11 +18,9 @@ Instance withObservedCpuDemand(const Instance& base,
       throw std::invalid_argument("withObservedCpuDemand: demand must be >= 0");
     shards[s].demand[0] = demand;
   }
-  std::vector<std::uint32_t> groups(base.shardCount());
-  for (ShardId s = 0; s < base.shardCount(); ++s) groups[s] = base.replicaGroupOf(s);
   return Instance(base.dims(), base.machines(), std::move(shards),
                   base.initialAssignment(), base.exchangeCount(),
-                  base.transientGamma(), std::move(groups));
+                  base.transientGamma(), base.replicaGroups());
 }
 
 bool RebalanceTrigger::shouldRebalance(const BalanceMetrics& metrics,
@@ -69,13 +67,8 @@ EpochReport ClusterController::step(const Instance& instance) {
     report.solveSeconds = result.solveSeconds;
     const bool overBudget = config_.bytesBudgetPerEpoch > 0.0 &&
                             result.schedule.totalBytes > config_.bytesBudgetPerEpoch;
-    const bool discardPartial =
-        !result.schedule.complete &&
-        config_.partialPolicy == PartialSchedulePolicy::kDiscard;
     if (overBudget) {
       registry.counter("controller.over_budget").add();
-    } else if (discardPartial) {
-      registry.counter("controller.partial_discarded").add();
     } else if (config_.useExecutor) {
       const MigrationExecutor executor(config_.executor);
       ExecutionReport execution = executor.execute(instance, result.schedule,

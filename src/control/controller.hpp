@@ -46,25 +46,12 @@ class RebalanceTrigger {
   std::size_t lastFired_ = 0;
 };
 
-/// What the controller does with an *incomplete* schedule (the scheduler
-/// could not place every relocation even with staging).
-enum class PartialSchedulePolicy {
-  /// Execute the phases that were scheduled; the mapping advances to the
-  /// schedule's achieved end state and the leftovers are reported.
-  kExecutePartial,
-  /// Discard the plan entirely: the mapping stays put, the epoch reports
-  /// the unscheduled moves.
-  kDiscard,
-};
-
 struct ControllerConfig {
   TriggerConfig trigger;
   SraConfig sra;
   /// Migration bytes one epoch's rebalance may consume; a plan exceeding
   /// the budget is discarded (reported, not executed). <= 0 disables.
   double bytesBudgetPerEpoch = 0.0;
-  /// Disposition of incomplete schedules (see PartialSchedulePolicy).
-  PartialSchedulePolicy partialPolicy = PartialSchedulePolicy::kExecutePartial;
   /// Route schedule execution through the fault-tolerant MigrationExecutor
   /// instead of assuming plans execute perfectly. Faults from `faults` are
   /// injected (empty plan = clean execution); crashes trigger mid-flight
@@ -83,8 +70,9 @@ struct ControllerConfig {
 struct EpochReport {
   std::size_t epoch = 0;
   bool triggered = false;
-  /// False when the trigger fired but the plan was discarded (over budget,
-  /// or incomplete under PartialSchedulePolicy::kDiscard).
+  /// False when the trigger fired but the plan was discarded for being
+  /// over budget. An incomplete schedule still executes: its scheduled
+  /// phases run and the leftovers are reported in unscheduledMoves.
   bool executed = false;
   BalanceMetrics before;
   BalanceMetrics after;

@@ -42,14 +42,9 @@ Instance replanInstance(const Instance& instance,
                                static_cast<double>(dead));
     machines[dead].capacity = ResourceVector(instance.dims(), epsilonCapacity);
   }
-  std::vector<std::uint32_t> groups;
-  if (instance.hasReplication()) {
-    groups.resize(instance.shardCount());
-    for (ShardId s = 0; s < instance.shardCount(); ++s)
-      groups[s] = instance.replicaGroupOf(s);
-  }
   return Instance(instance.dims(), std::move(machines), instance.shards(), mapping,
-                  /*exchangeCount=*/0, instance.transientGamma(), std::move(groups));
+                  /*exchangeCount=*/0, instance.transientGamma(),
+                  instance.replicaGroups());
 }
 
 namespace {

@@ -26,15 +26,9 @@ Instance withFailedMachine(const Instance& instance, MachineId failed,
   std::vector<Machine> machines = instance.machines();
   machines[failed].capacity = ResourceVector(instance.dims(), epsilonCapacity);
 
-  std::vector<std::uint32_t> groups;
-  if (instance.hasReplication()) {
-    groups.resize(instance.shardCount());
-    for (ShardId s = 0; s < instance.shardCount(); ++s)
-      groups[s] = instance.replicaGroupOf(s);
-  }
   return Instance(instance.dims(), std::move(machines), instance.shards(),
                   instance.initialAssignment(), instance.exchangeCount(),
-                  instance.transientGamma(), std::move(groups));
+                  instance.transientGamma(), instance.replicaGroups());
 }
 
 RecoveryResult recoverFromFailure(const Instance& instance, MachineId failed,

@@ -53,7 +53,6 @@ class TermCursor {
   double idf() const noexcept { return idf_; }
   /// Global (whole-list) upper bound on this term's contribution.
   double upperBound() const noexcept { return upperBound_; }
-  std::size_t documentCount() const noexcept { return list_->documentCount(); }
 
   std::uint32_t freq() {
     ensureDecoded();

@@ -310,82 +310,6 @@ std::vector<ScoredDoc> topKDisjunctiveTaat(const InvertedIndex& index,
   return selectTopK(std::move(scored), k);
 }
 
-std::span<const ScoredDoc> topKConjunctiveInto(
-    const InvertedIndex& index, const std::vector<TermId>& terms, std::size_t k,
-    const Bm25Params& params, QueryScratch& scratch, ExecStats* stats,
-    const GlobalStats* global) {
-  RESEX_TRACE_SPAN("query.conjunctive");
-  static obs::Counter& queries = queryCounter("conjunctive");
-  queries.add();
-  obs::ScopedLatencyUs latency(queryLatencyHistogram());
-  scratch.exec = ExecStats{};
-  scratch.heapStorage.clear();
-  if (k == 0 || terms.empty()) {
-    finishExec(scratch, stats);
-    return {};
-  }
-  const ScoreContext ctx =
-      buildCursors(index, terms, params, global, scratch);
-  std::vector<TermCursor>& cursors = scratch.cursors;
-  // A term with an empty list empties the intersection (buildCursors
-  // drops empty lists, so compare against the deduplicated term count).
-  if (cursors.empty() || cursors.size() != scratch.terms.size()) {
-    finishExec(scratch, stats);
-    return {};
-  }
-
-  scratch.heap.reset(&scratch.heapStorage, k);
-  // Rarest list drives; the others leapfrog to its candidates.
-  std::vector<std::size_t>& order = scratch.order;
-  order.resize(cursors.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&cursors](std::size_t a, std::size_t b) {
-    return cursors[a].documentCount() < cursors[b].documentCount();
-  });
-
-  TermCursor& driver = cursors[order[0]];
-  bool done = false;
-  while (!done && !driver.exhausted()) {
-    const DocId candidate = driver.doc();
-    bool match = true;
-    for (std::size_t l = 1; l < order.size(); ++l) {
-      TermCursor& c = cursors[order[l]];
-      c.nextGeq(candidate);
-      if (c.exhausted()) {
-        match = false;
-        done = true;
-        break;
-      }
-      if (c.doc() != candidate) {
-        driver.nextGeq(c.doc());
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    // All cursors sit on the candidate; score in term order.
-    const double docLength = index.docLength(candidate);
-    double score = 0.0;
-    for (TermCursor& c : cursors)
-      score += bm25TermScore(c.idf(), c.freq(), docLength, ctx.avgLen, params);
-    ++scratch.exec.candidatesScored;
-    scratch.heap.offer(score, index.docId(candidate));
-    driver.next();
-  }
-  const auto results = scratch.heap.finish();
-  finishExec(scratch, stats);
-  return results;
-}
-
-std::vector<ScoredDoc> topKConjunctive(const InvertedIndex& index,
-                                       const std::vector<TermId>& terms,
-                                       std::size_t k, const Bm25Params& params,
-                                       ExecStats* stats, const GlobalStats* global) {
-  const auto results = topKConjunctiveInto(index, terms, k, params,
-                                           threadLocalQueryScratch(), stats, global);
-  return {results.begin(), results.end()};
-}
-
 std::vector<ScoredDoc> mergeTopK(const std::vector<std::vector<ScoredDoc>>& perShard,
                                  std::size_t k) {
   std::size_t total = 0;

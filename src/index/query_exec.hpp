@@ -1,5 +1,5 @@
-// Query execution over an InvertedIndex: BM25-scored disjunctive top-k and
-// conjunctive (AND) retrieval, with work accounting (postings touched).
+// Query execution over an InvertedIndex: BM25-scored disjunctive top-k with
+// work accounting (postings touched).
 //
 // topKDisjunctive is MaxScore (Turtle & Flood) over block-codec cursors:
 // lists sorted by score upper bound split into an *essential* suffix,
@@ -50,22 +50,6 @@ std::vector<ScoredDoc> topKDisjunctiveTaat(const InvertedIndex& index,
                                            std::size_t k, const Bm25Params& params,
                                            ExecStats* stats = nullptr,
                                            const GlobalStats* global = nullptr);
-
-/// Conjunctive (AND): documents containing every term, scored by BM25,
-/// top-k. Cursor-based leapfrog intersection driven by the rarest list;
-/// blocks the candidate set skips over are never decoded.
-std::vector<ScoredDoc> topKConjunctive(const InvertedIndex& index,
-                                       const std::vector<TermId>& terms,
-                                       std::size_t k, const Bm25Params& params,
-                                       ExecStats* stats = nullptr,
-                                       const GlobalStats* global = nullptr);
-
-/// topKConjunctive into a caller-owned scratch arena (see
-/// topKDisjunctiveInto for the aliasing contract).
-std::span<const ScoredDoc> topKConjunctiveInto(
-    const InvertedIndex& index, const std::vector<TermId>& terms, std::size_t k,
-    const Bm25Params& params, QueryScratch& scratch, ExecStats* stats = nullptr,
-    const GlobalStats* global = nullptr);
 
 /// Merges per-shard top-k lists into a global top-k (scatter-gather
 /// reduce step of a document-partitioned engine).

@@ -1,8 +1,8 @@
 // Shared BM25 scoring primitives and query-execution plumbing types.
 //
-// Every executor (the MaxScore kernel, the TAAT oracle, conjunctive) scores
-// with the same formula and the same per-query statistics, so the types
-// live here — below block_codec/cursor and query_exec — to keep the
+// Both executors (the MaxScore kernel and the TAAT oracle) score with the
+// same formula and the same per-query statistics, so the types live
+// here — below block_codec/cursor and query_exec — to keep the
 // include graph acyclic: block_codec needs Bm25Params to precompute
 // per-block score bounds, cursor needs ExecStats to account for block
 // decodes and skips, and query_exec needs both.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lns/accept.hpp"
 #include "lns/destroy.hpp"
 #include "lns/repair.hpp"
 #include "obs/metrics.hpp"
@@ -19,10 +20,6 @@ void LnsSolver::addDestroy(std::unique_ptr<DestroyOperator> op) {
 
 void LnsSolver::addRepair(std::unique_ptr<RepairOperator> op) {
   repairs_.push_back(std::move(op));
-}
-
-void LnsSolver::setAcceptance(std::unique_ptr<AcceptanceCriterion> acceptance) {
-  acceptance_ = std::move(acceptance);
 }
 
 void LnsSolver::installDefaults() {
@@ -78,16 +75,11 @@ LnsResult LnsSolver::solve(const Assignment& start) {
   AdaptiveSelector destroySel(destroys_.size(), !config_.adaptiveWeights);
   AdaptiveSelector repairSel(repairs_.size(), !config_.adaptiveWeights);
 
-  // Default acceptance: annealing whose horizon matches the iteration
-  // budget and whose initial temperature is a small fraction of the
-  // starting objective (so early worsening moves of a few percent pass).
-  std::unique_ptr<AcceptanceCriterion> defaultAcceptance;
-  AcceptanceCriterion* acceptance = acceptance_.get();
-  if (acceptance == nullptr) {
-    defaultAcceptance = SimulatedAnnealingAcceptance::forHorizon(
-        0.02 * std::max(0.5, currentScalar), std::max<std::size_t>(1, config_.maxIterations));
-    acceptance = defaultAcceptance.get();
-  }
+  // Annealing whose horizon matches the iteration budget and whose initial
+  // temperature is a small fraction of the starting objective (so early
+  // worsening moves of a few percent pass).
+  SimulatedAnnealingAcceptance acceptance = SimulatedAnnealingAcceptance::forHorizon(
+      0.02 * std::max(0.5, currentScalar), std::max<std::size_t>(1, config_.maxIterations));
 
   const std::size_t n = instance_->shardCount();
   const auto fractionCap = static_cast<std::size_t>(
@@ -139,20 +131,19 @@ LnsResult LnsSolver::solve(const Assignment& start) {
       mRepairFailures.add();
       destroySel.reward(dOp, OperatorOutcome::RepairFailed);
       repairSel.reward(rOp, OperatorOutcome::RepairFailed);
-      acceptance->onIteration();
+      acceptance.onIteration();
       continue;
     }
 
     const Score candidateScore = objective_.evaluate(current);
     const double candidateScalar = objective_.scalarize(candidateScore);
-    const double bestScalar = objective_.scalarize(result.bestScore);
 
     OperatorOutcome outcome;
     if (candidateScore.betterThan(result.bestScore)) {
       outcome = OperatorOutcome::NewBest;
     } else if (candidateScalar < currentScalar) {
       outcome = OperatorOutcome::Improved;
-    } else if (acceptance->accept(candidateScalar, currentScalar, bestScalar, rng)) {
+    } else if (acceptance.accept(candidateScalar, currentScalar, rng)) {
       outcome = OperatorOutcome::Accepted;
     } else {
       outcome = OperatorOutcome::Rejected;
@@ -177,7 +168,7 @@ LnsResult LnsSolver::solve(const Assignment& start) {
     }
     destroySel.reward(dOp, outcome);
     repairSel.reward(rOp, outcome);
-    acceptance->onIteration();
+    acceptance.onIteration();
 
     // Periodically rebuild caches: float accumulation over millions of
     // incremental +=/-= must never skew comparisons.

@@ -7,7 +7,6 @@
 
 #include "cluster/assignment.hpp"
 #include "core/objective.hpp"
-#include "lns/accept.hpp"
 #include "lns/adaptive.hpp"
 #include "lns/operators.hpp"
 #include "util/timer.hpp"
@@ -68,8 +67,6 @@ class LnsSolver {
   /// shaw / vacancy-drain destroys and greedy(+noise) / regret-2 repairs.
   void addDestroy(std::unique_ptr<DestroyOperator> op);
   void addRepair(std::unique_ptr<RepairOperator> op);
-  /// Overrides the default acceptance (annealing tuned to the horizon).
-  void setAcceptance(std::unique_ptr<AcceptanceCriterion> acceptance);
 
   /// Runs the search from `start` (typically the instance's initial
   /// placement). The start may violate capacity or vacancy; the search
@@ -88,7 +85,6 @@ class LnsSolver {
   LnsConfig config_;
   std::vector<std::unique_ptr<DestroyOperator>> destroys_;
   std::vector<std::unique_ptr<RepairOperator>> repairs_;
-  std::unique_ptr<AcceptanceCriterion> acceptance_;
 };
 
 }  // namespace resex

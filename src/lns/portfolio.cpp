@@ -24,9 +24,7 @@ PortfolioResult solvePortfolio(const Instance& instance, const Objective& object
   for (std::size_t i = 0; i < searches; ++i) seeds[i] = splitmix64(state);
 
   WallTimer timer;
-  // Dedicated threads, NOT globalPool(): searches may run parallelFor on
-  // the pool internally, and blocking pool workers on other pool work is a
-  // deadlock hazard (see portfolio.hpp).
+  // One dedicated thread per search.
   std::vector<LnsResult> results(searches);
   std::vector<std::exception_ptr> errors(searches);
   {

@@ -2,13 +2,8 @@
 // its own dedicated thread; the best result wins. Deterministic for a fixed
 // seed set and search count (searches never communicate mid-run, and the
 // winner is picked by a fixed scan order with a lowest-index tie-break).
-//
-// Threading model: portfolio searches deliberately do NOT run on the shared
-// globalPool(). A search may itself fan work out via parallelFor on that
-// pool; if the searches also occupied every pool worker while the caller
-// blocked on their futures, the inner parallelFor tasks could never be
-// scheduled — a deadlock (and, short of that, oversubscription). Dedicated
-// std::threads keep the pool free for nested parallelism.
+// A search that fans work out further (e.g. from a custom operator) cannot
+// starve the others: nothing is shared between the searches' threads.
 #pragma once
 
 #include <functional>
@@ -25,9 +20,9 @@ struct PortfolioConfig {
   std::uint64_t baseSeed = 1;
   /// Per-search LNS configuration (seed field is overridden).
   LnsConfig lns;
-  /// Optional per-search solver setup hook (register custom operators,
-  /// acceptance, ...). Called once per search, on that search's thread,
-  /// before solve(); must be safe to invoke concurrently.
+  /// Optional per-search solver setup hook (register custom operators).
+  /// Called once per search, on that search's thread, before solve(); must
+  /// be safe to invoke concurrently.
   std::function<void(LnsSolver&)> configure;
 };
 

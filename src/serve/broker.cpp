@@ -206,9 +206,10 @@ QueryBroker::QueryBroker(const Instance& instance, std::vector<MachineId> mappin
 
   queues_.reserve(m);
   machineStats_.reserve(m);
+  const std::vector<double> weights = registry_.weights();
   for (std::size_t i = 0; i < m; ++i) {
     queues_.push_back(
-        std::make_unique<FairShareQueue<Task>>(config_.queueCapacity, registry_.tree()));
+        std::make_unique<FairShareQueue<Task>>(config_.queueCapacity, weights));
     machineStats_.push_back(std::make_unique<MachineStats>());
   }
   tenantStats_.reserve(registry_.count());
@@ -404,7 +405,6 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     return true;
   }
   RESEX_TRACE_SPAN("serve.query");
-  queries_.fetch_add(1, std::memory_order_relaxed);
   tstats.queries.fetch_add(1, std::memory_order_relaxed);
   queriesCounter().add();
 
@@ -429,7 +429,6 @@ bool QueryBroker::submit(const std::vector<TermId>& terms,
     result.cacheHit = true;
     result.partitionsAnswered = result.partitionsTotal;
     result.latencySeconds = secondsBetween(t0, Clock::now());
-    cacheHits_.fetch_add(1, std::memory_order_relaxed);
     tstats.cacheHits.fetch_add(1, std::memory_order_relaxed);
     cacheHitCounter().add();
     recordServed(tenant, result.latencySeconds, /*error=*/false);
@@ -584,7 +583,6 @@ void QueryBroker::deliver(const std::shared_ptr<PendingQuery>& pending,
   result.latencySeconds = secondsBetween(pending->t0, Clock::now());
   TenantStats& tstats = *tenantStats_[pending->tenant];
   if (!result.complete) {
-    expiredQueries_.fetch_add(1, std::memory_order_relaxed);
     tstats.expiredQueries.fetch_add(1, std::memory_order_relaxed);
     expiredCounter().add();
   } else {
@@ -738,7 +736,6 @@ void QueryBroker::workerLoop(std::size_t machine) {
           paceDebt -= secondsBetween(sleepStart, Clock::now());
         }
       } else {
-        shedTasks_.fetch_add(1, std::memory_order_relaxed);
         tenantStats_[task.tenant]->shedTasks.fetch_add(1, std::memory_order_relaxed);
         shedCounter().add();
         busy = secondsBetween(start, Clock::now());
@@ -842,10 +839,6 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
   out.blocksDecoded = harvest(blocksDecoded_);
   out.blocksSkipped = harvest(blocksSkipped_);
   out.heapThresholdPrunes = harvest(heapPrunes_);
-  out.queries = harvest(queries_);
-  out.cacheHits = harvest(cacheHits_);
-  out.expiredQueries = harvest(expiredQueries_);
-  out.shedTasks = harvest(shedTasks_);
   obs::Histogram merged{kLatencyFloorSeconds, kLatencySubBuckets};
   out.tenants.resize(registry_.count());
   for (std::size_t t = 0; t < registry_.count(); ++t) {
@@ -861,6 +854,10 @@ ObservedLoad QueryBroker::harvestObservedLoad(bool resetWindow) {
     tl.tasks = harvest(ts.tasks);
     tl.postings = harvest(ts.postings);
     tl.busySeconds = static_cast<double>(harvest(ts.busyNanos)) * 1e-9;
+    out.queries += tl.queries;
+    out.cacheHits += tl.cacheHits;
+    out.expiredQueries += tl.expiredQueries;
+    out.shedTasks += tl.shedTasks;
     std::lock_guard lock(ts.mutex);
     tl.p50 = ts.latency.quantile(0.50);
     tl.p95 = ts.latency.quantile(0.95);

@@ -425,10 +425,6 @@ class QueryBroker {
   std::atomic<std::uint64_t> blocksDecoded_{0};
   std::atomic<std::uint64_t> blocksSkipped_{0};
   std::atomic<std::uint64_t> heapPrunes_{0};
-  std::atomic<std::uint64_t> queries_{0};
-  std::atomic<std::uint64_t> cacheHits_{0};
-  std::atomic<std::uint64_t> expiredQueries_{0};
-  std::atomic<std::uint64_t> shedTasks_{0};
   /// steady_clock ticks at the window's start.
   std::atomic<std::chrono::steady_clock::rep> windowStart_{0};
 

@@ -1,21 +1,19 @@
-// Hierarchical fair-share dispatch: the ordering layer that replaces FIFO
-// in the broker's per-machine work queues.
+// Fair-share dispatch: the ordering layer that replaces FIFO in the
+// broker's per-machine work queues.
 //
-// FairShareScheduler is a two-level start-time fair queueing (SFQ) tree —
-// root -> pools -> tenants — over abstract "pending task" counts. Every
-// node carries a virtual start time; dequeue picks the active pool with
-// the smallest virtual time, then the active tenant within it, and charges
-// both 1/weight of virtual service. A node activating after idling
-// fast-forwards to its parent's virtual clock (the start tag of the last
-// service the parent granted), so sleeping never banks credit and a
-// returning tenant cannot lock out the others while it drains its backlog.
-// Over any busy interval each active tenant therefore receives dispatch
-// slots proportional to its weight within its pool, and each pool
-// proportional to its (member-summed) weight — the weighted max-min
-// discipline of ytsaurus's fair_share_strategy, reduced to the single
-// resource that matters here: task dispatch order. Selection scans the
-// active nodes linearly; with tens of tenants per machine queue that is
-// cheaper than any heap maintenance.
+// FairShareScheduler is start-time fair queueing (SFQ) over tenants, on
+// abstract "pending task" counts. Every tenant carries a virtual start
+// time; dequeue picks the active tenant with the smallest virtual time
+// (ties to the lower id) and charges it 1/weight of virtual service. A
+// tenant activating after idling fast-forwards to the scheduler's virtual
+// clock (the start tag of the last service granted), so sleeping never
+// banks credit and a returning tenant cannot lock out the others while it
+// drains its backlog. Over any busy interval each active tenant therefore
+// receives dispatch slots proportional to its weight — the per-class
+// weights balanced fairness (Bonald & Comte) asks for, applied to the
+// single resource that matters here: task dispatch order. Selection scans
+// the active tenants linearly; with tens of tenants per machine queue that
+// is cheaper than any heap maintenance.
 //
 // FairShareQueue<T> wraps the scheduler and per-tenant sub-queues behind
 // the contract the broker's workers rely on — bounded capacity as
@@ -46,20 +44,21 @@
 
 namespace resex::serve {
 
-/// The vtime tree. Not thread-safe: the owning queue guards it with its
-/// own mutex (and tests drive it single-threaded).
+/// The per-tenant virtual clocks. Not thread-safe: the owning queue
+/// guards it with its own mutex (and tests drive it single-threaded).
 class FairShareScheduler {
  public:
-  explicit FairShareScheduler(FairShareTreeSpec spec);
+  /// One tenant per weight (id = index); every weight must be > 0.
+  explicit FairShareScheduler(const std::vector<double>& weights);
 
-  /// Tenant `t` gained one pending task (activates idle nodes, with vtime
-  /// catch-up to the parent clock).
+  /// Tenant `t` gained one pending task (an idle tenant activates, with
+  /// vtime catch-up to the scheduler clock).
   void onEnqueue(TenantId t);
   /// The next tenant a fair-share dispatch should serve, or nullopt when
   /// nothing is pending. Pure; does not charge.
   std::optional<TenantId> pickNext() const;
   /// Charges one dispatched task to `t` (which must have pending > 0) and
-  /// advances the virtual clocks.
+  /// advances the virtual clock.
   void onDequeue(TenantId t);
   /// pickNext + onDequeue in one step.
   std::optional<TenantId> takeNext();
@@ -71,23 +70,14 @@ class FairShareScheduler {
  private:
   struct TenantNode {
     double weight = 1.0;
-    std::uint32_t pool = 0;
     double vtime = 0.0;
-    std::size_t pending = 0;
-  };
-  struct PoolNode {
-    double weight = 1.0;
-    double vtime = 0.0;
-    /// Virtual clock handed to members activating under this pool: the
-    /// start tag of the pool's most recent dispatch.
-    double memberClock = 0.0;
     std::size_t pending = 0;
   };
 
   std::vector<TenantNode> tenants_;
-  std::vector<PoolNode> pools_;
-  /// Clock handed to pools activating under the root.
-  double rootClock_ = 0.0;
+  /// Clock handed to tenants activating: the start tag of the most recent
+  /// dispatch.
+  double clock_ = 0.0;
   std::size_t totalPending_ = 0;
 };
 
@@ -96,8 +86,9 @@ class FairShareScheduler {
 template <typename T>
 class FairShareQueue {
  public:
-  FairShareQueue(std::size_t capacity, FairShareTreeSpec tree)
-      : capacity_(capacity ? capacity : 1), scheduler_(std::move(tree)),
+  /// `weights[t]` is tenant t's fair-share weight.
+  FairShareQueue(std::size_t capacity, const std::vector<double>& weights)
+      : capacity_(capacity ? capacity : 1), scheduler_(weights),
         queues_(scheduler_.tenantCount()) {}
 
   FairShareQueue(const FairShareQueue&) = delete;

@@ -40,28 +40,19 @@ TenantRegistry::TenantRegistry(std::vector<TenantSpec> specs)
   for (const TenantSpec& spec : specs_)
     sloClasses_.push_back(spec.sloClass.empty() ? "tenant." + spec.name
                                                 : spec.sloClass);
-
-  // Fair-share tree: tenants naming the same pool share a node; a tenant
-  // with no pool gets an implicit single-member pool under the root. Pool
-  // weight is the sum of member weights.
-  tree_.tenants.resize(specs_.size());
-  for (std::size_t t = 0; t < specs_.size(); ++t) {
-    const std::string poolName =
-        specs_[t].pool.empty() ? "pool." + specs_[t].name : specs_[t].pool;
-    std::uint32_t poolIdx = 0;
-    for (; poolIdx < tree_.pools.size(); ++poolIdx)
-      if (tree_.pools[poolIdx].name == poolName) break;
-    if (poolIdx == tree_.pools.size())
-      tree_.pools.push_back({poolName, 0.0});
-    tree_.pools[poolIdx].weight += specs_[t].weight;
-    tree_.tenants[t] = {specs_[t].weight, poolIdx};
-  }
 }
 
 std::optional<TenantId> TenantRegistry::idOf(std::string_view name) const noexcept {
   for (std::size_t i = 0; i < specs_.size(); ++i)
     if (specs_[i].name == name) return static_cast<TenantId>(i);
   return std::nullopt;
+}
+
+std::vector<double> TenantRegistry::weights() const {
+  std::vector<double> out;
+  out.reserve(specs_.size());
+  for (const TenantSpec& spec : specs_) out.push_back(spec.weight);
+  return out;
 }
 
 double TenantRegistry::weightShare(TenantId id) const {

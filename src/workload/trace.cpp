@@ -76,14 +76,8 @@ Instance Trace::instanceForEpoch(std::size_t epoch,
     initial[s] = newIndex[currentMapping[s]];
   }
 
-  std::vector<std::uint32_t> groups;
-  if (base_->hasReplication()) {
-    groups.resize(base_->shardCount());
-    for (ShardId s = 0; s < base_->shardCount(); ++s)
-      groups[s] = base_->replicaGroupOf(s);
-  }
   return Instance(base_->dims(), std::move(machines), std::move(shards), std::move(initial),
-                  k, base_->transientGamma(), std::move(groups));
+                  k, base_->transientGamma(), base_->replicaGroups());
 }
 
 Trace generateTrace(const Instance& base, const TraceConfig& config) {

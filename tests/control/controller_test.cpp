@@ -178,7 +178,6 @@ ControllerConfig alwaysFire() {
 TEST(Controller, ExecutePartialAdvancesTheScheduledMoves) {
   const Instance inst = partialInstance();
   ControllerConfig config = alwaysFire();
-  config.partialPolicy = PartialSchedulePolicy::kExecutePartial;
   CraftedPlanController controller(config, partialPlan(inst));
   const EpochReport report = controller.step(inst);
   EXPECT_TRUE(report.triggered);
@@ -188,20 +187,6 @@ TEST(Controller, ExecutePartialAdvancesTheScheduledMoves) {
   EXPECT_EQ(controller.mapping(), (std::vector<MachineId>{2, 1}));
   EXPECT_DOUBLE_EQ(report.executedBytes, 60.0);
   EXPECT_DOUBLE_EQ(controller.cumulativeBytes(), 60.0);
-}
-
-TEST(Controller, DiscardPolicyKeepsTheMappingPut) {
-  const Instance inst = partialInstance();
-  ControllerConfig config = alwaysFire();
-  config.partialPolicy = PartialSchedulePolicy::kDiscard;
-  CraftedPlanController controller(config, partialPlan(inst));
-  const EpochReport report = controller.step(inst);
-  EXPECT_TRUE(report.triggered);
-  EXPECT_FALSE(report.executed);
-  EXPECT_FALSE(report.scheduleComplete);
-  EXPECT_EQ(report.unscheduledMoves, 1u);  // surfaced, not silently dropped
-  EXPECT_EQ(controller.mapping(), inst.initialAssignment());
-  EXPECT_DOUBLE_EQ(controller.cumulativeBytes(), 0.0);
 }
 
 TEST(Controller, ExecutorModeCleanRunMatchesLegacyAccounting) {

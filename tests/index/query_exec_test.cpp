@@ -14,7 +14,7 @@ namespace {
 std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
                                   std::uint32_t termCount,
                                   const std::vector<TermId>& queryTerms,
-                                  std::size_t k, bool conjunctive,
+                                  std::size_t k,
                                   const Bm25Params& params) {
   // Corpus stats.
   std::vector<std::size_t> df(termCount, 0);
@@ -32,21 +32,16 @@ std::vector<ScoredDoc> bruteForce(const std::vector<Document>& docs,
     std::map<TermId, int> tf;
     for (const TermId t : d.terms) ++tf[t];
     double score = 0.0;
-    bool all = true;
     for (const TermId t : unique) {
       const auto it = tf.find(t);
-      if (it == tf.end()) {
-        all = false;
-        continue;
-      }
+      if (it == tf.end()) continue;
       const double idf = bm25Idf(docs.size(), df[t]);
       const double norm =
           params.k1 *
           (1.0 - params.b + params.b * d.terms.size() / std::max(1.0, avgLength));
       score += idf * (it->second * (params.k1 + 1.0)) / (it->second + norm);
     }
-    if (conjunctive && !all) continue;
-    if (!conjunctive && score == 0.0) continue;
+    if (score == 0.0) continue;
     scored.push_back(ScoredDoc{d.id, score});
   }
   std::sort(scored.begin(), scored.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
@@ -82,30 +77,9 @@ TEST(QueryExec, DisjunctiveMatchesBruteForce) {
   for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {5, 40}, {1, 2, 3}, {100, 200, 250}}) {
     const auto fast = topKDisjunctive(f.index, query, 10, Bm25Params{});
-    const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, false, {});
+    const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, {});
     expectSameResults(fast, slow);
   }
-}
-
-TEST(QueryExec, ConjunctiveMatchesBruteForce) {
-  Fixture f;
-  for (const std::vector<TermId>& query :
-       {std::vector<TermId>{0}, {0, 1}, {2, 5, 9}, {150, 3}}) {
-    const auto fast = topKConjunctive(f.index, query, 10, Bm25Params{});
-    const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, true, {});
-    expectSameResults(fast, slow);
-  }
-}
-
-TEST(QueryExec, ConjunctiveIsSubsetOfDisjunctive) {
-  Fixture f;
-  const std::vector<TermId> query{1, 4};
-  const auto andDocs = topKConjunctive(f.index, query, 1000, Bm25Params{});
-  const auto orDocs = topKDisjunctive(f.index, query, 100000, Bm25Params{});
-  std::set<DocId> orSet;
-  for (const auto& d : orDocs) orSet.insert(d.doc);
-  for (const auto& d : andDocs) EXPECT_TRUE(orSet.contains(d.doc));
-  EXPECT_LE(andDocs.size(), orDocs.size());
 }
 
 TEST(QueryExec, DuplicateQueryTermsDoNotDoubleCount) {
@@ -117,7 +91,7 @@ TEST(QueryExec, DuplicateQueryTermsDoNotDoubleCount) {
 
 TEST(QueryExec, EmptyQueryAndEmptyTermBehave) {
   Fixture f;
-  EXPECT_TRUE(topKConjunctive(f.index, {}, 10, Bm25Params{}).empty());
+  EXPECT_TRUE(topKDisjunctive(f.index, {}, 10, Bm25Params{}).empty());
   // A term with no postings: find one, if any; vocabulary tail is sparse.
   TermId empty = 0;
   bool found = false;
@@ -129,7 +103,6 @@ TEST(QueryExec, EmptyQueryAndEmptyTermBehave) {
     }
   }
   if (found) {
-    EXPECT_TRUE(topKConjunctive(f.index, {0, empty}, 10, Bm25Params{}).empty());
     EXPECT_TRUE(topKDisjunctive(f.index, {empty}, 10, Bm25Params{}).empty());
   }
 }
@@ -153,7 +126,7 @@ TEST(QueryExec, TaatMatchesBruteForce) {
   for (const std::vector<TermId>& query :
        {std::vector<TermId>{0}, {5, 40}, {1, 2, 3}, {100, 200, 250}}) {
     const auto fast = topKDisjunctiveTaat(f.index, query, 10, Bm25Params{});
-    const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, false, {});
+    const auto slow = bruteForce(f.docs, f.config.termCount, query, 10, {});
     expectSameResults(fast, slow);
   }
 }

@@ -79,19 +79,6 @@ TEST(ScratchAlloc, WarmDisjunctivePathAllocatesNothing) {
   EXPECT_GT(sink, 0.0);
 }
 
-TEST(ScratchAlloc, WarmConjunctivePathAllocatesNothing) {
-  Fixture f;
-  QueryScratch scratch;
-  for (const auto& query : f.queries)
-    topKConjunctiveInto(f.index, query, 10, Bm25Params{}, scratch);
-  const std::size_t before = g_newCalls.load(std::memory_order_relaxed);
-  for (int pass = 0; pass < 20; ++pass)
-    for (const auto& query : f.queries)
-      topKConjunctiveInto(f.index, query, 10, Bm25Params{}, scratch);
-  const std::size_t after = g_newCalls.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "steady-state conjunctive queries allocated";
-}
-
 TEST(ScratchAlloc, CounterActuallyCounts) {
   // Sanity for the hook itself: an obvious allocation must register.
   const std::size_t before = g_newCalls.load(std::memory_order_relaxed);

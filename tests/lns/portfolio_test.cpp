@@ -7,8 +7,8 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <vector>
 
-#include "util/thread_pool.hpp"
 #include "workload/synthetic.hpp"
 
 namespace resex {
@@ -78,20 +78,21 @@ TEST(Portfolio, MultiStartAtLeastAsGoodAsSingle) {
             one.best.bestScore.bottleneckUtil + 1e-9);
 }
 
-/// Destroy operator that fans work out via parallelFor on the shared global
-/// pool every call — the pattern that deadlocked the old portfolio (searches
-/// occupied every pool worker while the caller blocked on their futures, so
-/// the nested parallelFor tasks could never be scheduled).
-class PoolTouchingDestroy final : public DestroyOperator {
+/// Destroy operator that fans work out to its own short-lived threads every
+/// call: nested parallelism inside each search, which must not be able to
+/// block the portfolio.
+class FanOutDestroy final : public DestroyOperator {
  public:
-  std::string_view name() const noexcept override { return "pool-touching"; }
+  std::string_view name() const noexcept override { return "fan-out"; }
   void destroyInto(Assignment& assignment, std::size_t quota, Rng& rng,
                    Ruin& out) override {
-    // 4096 > the default grain size, so this genuinely dispatches to the pool.
     std::atomic<std::size_t> counter{0};
-    parallelFor(4096, [&counter](std::size_t) {
-      counter.fetch_add(1, std::memory_order_relaxed);
-    });
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 4; ++w)
+      workers.emplace_back([&counter] {
+        for (int i = 0; i < 1024; ++i) counter.fetch_add(1, std::memory_order_relaxed);
+      });
+    for (std::thread& t : workers) t.join();
     ASSERT_EQ(counter.load(), 4096u);
     const std::size_t n = assignment.instance().shardCount();
     std::size_t guard = 0;
@@ -106,14 +107,15 @@ TEST(Portfolio, PoolUsingSearchesCompleteUnderWatchdog) {
   const Instance inst = tinyTestInstance(111, 6, 48, 2, 0.6);
   const Objective obj(inst.exchangeCount());
   PortfolioConfig config;
-  // More searches than pool workers: under the old pool-backed portfolio
-  // this saturated the pool and deadlocked on the first nested parallelFor.
-  config.searches = globalPool().threadCount() + 2;
+  // More searches than hardware threads, each fanning out further: an
+  // oversubscribed portfolio must still finish.
+  config.searches =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()) + 2;
   config.baseSeed = 7;
   config.lns.maxIterations = 50;
   config.lns.timeBudgetSeconds = 20.0;
   config.configure = [](LnsSolver& solver) {
-    solver.addDestroy(std::make_unique<PoolTouchingDestroy>());
+    solver.addDestroy(std::make_unique<FanOutDestroy>());
   };
 
   std::packaged_task<PortfolioResult()> task(
@@ -123,7 +125,7 @@ TEST(Portfolio, PoolUsingSearchesCompleteUnderWatchdog) {
   // Watchdog: a deadlock must fail the test, not hang the suite.
   if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
     runner.detach();
-    FAIL() << "portfolio deadlocked: searches blocked on the shared pool";
+    FAIL() << "portfolio deadlocked under nested fan-out";
   }
   runner.join();
   const PortfolioResult result = done.get();

@@ -76,8 +76,23 @@ TEST(QueryBrokerTenants, ServesCorrectResultsAndAttributesPerTenant) {
   // Every query needs one token per partition (4): keep each tenant's cap
   // comfortably above that so admission is not the subject here.
   config.tokensPerWorker = 8.0;
+  config.cacheCapacity = 64;
   QueryBroker broker(instance, instance.initialAssignment(), index, config);
   EXPECT_NE(broker.tokenBank(), nullptr);
+  // The broker-wide totals are the sums of the per-tenant counters.
+  const auto expectTotalsAreTenantSums = [](const ObservedLoad& load) {
+    std::uint64_t queries = 0, hits = 0, expired = 0, shed = 0;
+    for (const ObservedLoad::TenantLoad& t : load.tenants) {
+      queries += t.queries;
+      hits += t.cacheHits;
+      expired += t.expiredQueries;
+      shed += t.shedTasks;
+    }
+    EXPECT_EQ(load.queries, queries);
+    EXPECT_EQ(load.cacheHits, hits);
+    EXPECT_EQ(load.expiredQueries, expired);
+    EXPECT_EQ(load.shedTasks, shed);
+  };
 
   for (int i = 0; i < 6; ++i) {
     const QueryResult r = broker.execute(query({static_cast<TermId>(i)}), 0);
@@ -109,12 +124,24 @@ TEST(QueryBrokerTenants, ServesCorrectResultsAndAttributesPerTenant) {
   EXPECT_EQ(load.tenants[0].tasks, 24u);  // 6 queries x 4 partitions
   EXPECT_EQ(load.tenants[1].tasks, 16u);
   EXPECT_GT(load.tenants[0].p99, 0.0);
+  EXPECT_EQ(load.queries, 10u);
+  expectTotalsAreTenantSums(load);
 
   // Per-tenant SLO classes registered and recording under default names.
   const obs::SloWindow* window =
       obs::SloRegistry::global().find("tenant.interactive");
   ASSERT_NE(window, nullptr);
   EXPECT_EQ(window->snapshot().total, 6u);
+
+  // Repeats answered from the result cache count per tenant and in total.
+  EXPECT_TRUE(broker.execute(q, 0).cacheHit);
+  EXPECT_TRUE(broker.execute(query({0}), 1).cacheHit);
+  EXPECT_TRUE(broker.execute(query({1}), 1).cacheHit);
+  const ObservedLoad repeats = broker.takeObservedLoad();
+  EXPECT_EQ(repeats.tenants[0].cacheHits, 1u);
+  EXPECT_EQ(repeats.tenants[1].cacheHits, 2u);
+  EXPECT_EQ(repeats.cacheHits, 3u);
+  expectTotalsAreTenantSums(repeats);
   EXPECT_THROW(broker.execute(q, 7), std::out_of_range);
   obs::SloRegistry::global().reset();
 }

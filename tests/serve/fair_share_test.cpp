@@ -7,19 +7,11 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace resex::serve {
 namespace {
-
-FairShareTreeSpec onePool(std::vector<double> weights) {
-  FairShareTreeSpec spec;
-  double total = 0.0;
-  for (const double w : weights) total += w;
-  spec.pools.push_back({"pool", total});
-  for (const double w : weights) spec.tenants.push_back({w, 0});
-  return spec;
-}
 
 /// Drains `count` dispatches and returns how many each tenant received.
 std::vector<std::size_t> dispatchCounts(FairShareScheduler& scheduler,
@@ -34,7 +26,7 @@ std::vector<std::size_t> dispatchCounts(FairShareScheduler& scheduler,
 }
 
 TEST(FairShareScheduler, DispatchesProportionallyToWeight) {
-  FairShareScheduler scheduler(onePool({3.0, 1.0}));
+  FairShareScheduler scheduler({3.0, 1.0});
   for (int i = 0; i < 20; ++i) {
     scheduler.onEnqueue(0);
     scheduler.onEnqueue(1);
@@ -48,7 +40,7 @@ TEST(FairShareScheduler, DispatchesProportionallyToWeight) {
 }
 
 TEST(FairShareScheduler, IdleTenantBanksNoCredit) {
-  FairShareScheduler scheduler(onePool({1.0, 1.0}));
+  FairShareScheduler scheduler({1.0, 1.0});
   for (int i = 0; i < 10; ++i) scheduler.onEnqueue(0);
   // Tenant 0 drains alone for a while...
   auto got = dispatchCounts(scheduler, 2, 6);
@@ -62,41 +54,17 @@ TEST(FairShareScheduler, IdleTenantBanksNoCredit) {
   EXPECT_EQ(got[1], 3u);
 }
 
-TEST(FairShareScheduler, PoolsShareByMemberSummedWeight) {
-  // Pool 0 shelters two weight-1 tenants (pool weight 2); pool 1 one
-  // weight-1 tenant. Pool 0 earns 2/3 of dispatches, split evenly inside.
-  FairShareTreeSpec spec;
-  spec.pools.push_back({"a", 2.0});
-  spec.pools.push_back({"b", 1.0});
-  spec.tenants.push_back({1.0, 0});
-  spec.tenants.push_back({1.0, 0});
-  spec.tenants.push_back({1.0, 1});
-  FairShareScheduler scheduler(spec);
-  for (TenantId t = 0; t < 3; ++t)
-    for (int i = 0; i < 10; ++i) scheduler.onEnqueue(t);
-  const auto got = dispatchCounts(scheduler, 3, 9);
-  EXPECT_EQ(got[0], 3u);
-  EXPECT_EQ(got[1], 3u);
-  EXPECT_EQ(got[2], 3u);
-  EXPECT_EQ(scheduler.pending(0), 7u);
-  EXPECT_EQ(scheduler.totalPending(), 21u);
-}
-
 TEST(FairShareScheduler, ValidatesTreeAndTransitions) {
-  EXPECT_THROW(FairShareScheduler{FairShareTreeSpec{}}, std::invalid_argument);
-  EXPECT_THROW(FairShareScheduler{onePool({0.0})}, std::invalid_argument);
-  FairShareTreeSpec badPool;
-  badPool.pools.push_back({"p", 1.0});
-  badPool.tenants.push_back({1.0, 7});  // pool index out of range
-  EXPECT_THROW(FairShareScheduler{badPool}, std::invalid_argument);
+  EXPECT_THROW(FairShareScheduler{std::vector<double>{}}, std::invalid_argument);
+  EXPECT_THROW(FairShareScheduler{std::vector<double>{0.0}}, std::invalid_argument);
 
-  FairShareScheduler scheduler(onePool({1.0}));
+  FairShareScheduler scheduler({1.0});
   EXPECT_EQ(scheduler.pickNext(), std::nullopt);
   EXPECT_THROW(scheduler.onDequeue(0), std::logic_error);  // dequeue while idle
 }
 
 TEST(FairShareQueue, FairAcrossTenantsFifoWithin) {
-  FairShareQueue<int> queue(16, onePool({2.0, 1.0}));
+  FairShareQueue<int> queue(16, {2.0, 1.0});
   for (const int v : {10, 11, 12, 13}) ASSERT_TRUE(queue.push(v, 0));
   for (const int v : {20, 21}) ASSERT_TRUE(queue.push(v, 1));
   EXPECT_EQ(queue.size(), 6u);
@@ -111,8 +79,47 @@ TEST(FairShareQueue, FairAcrossTenantsFifoWithin) {
   }
 }
 
+TEST(FairShareQueue, GoldenPopOrderForWeights1And2And16) {
+  // Pins the exact dispatch order of three tenants built the way the broker
+  // builds them (from a TenantRegistry), weights 1, 2 and 16. Items are
+  // 100 + i for tenant 0, 200 + i for tenant 1, 300 + i for tenant 2.
+  std::vector<TenantSpec> specs(3);
+  specs[0].name = "low";
+  specs[0].weight = 1.0;
+  specs[1].name = "mid";
+  specs[1].weight = 2.0;
+  specs[2].name = "high";
+  specs[2].weight = 16.0;
+  const TenantRegistry registry(std::move(specs));
+  FairShareQueue<int> queue(64, registry.weights());
+  int next[3] = {100, 200, 300};
+  const auto push = [&](TenantId t, int count) {
+    for (int i = 0; i < count; ++i) ASSERT_TRUE(queue.push(next[t]++, t));
+  };
+  std::vector<int> popped;
+  const auto pop = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) popped.push_back(*queue.pop());
+  };
+  push(0, 6);
+  push(1, 3);
+  pop(5);  // mid drains its three items and goes idle
+  EXPECT_EQ(queue.sizeOf(1), 0u);
+  push(2, 24);  // high joins at the current virtual clock
+  pop(14);      // high's weight 16 takes every slot; low waits
+  push(1, 4);   // mid rejoins after idling: no banked credit
+  pop(queue.size());
+  const std::vector<int> expected = {
+      100, 200, 201, 101, 202,                                // low and mid
+      300, 301, 302, 303, 304, 305, 306, 307, 308, 309, 310,  // high's burst
+      311, 312, 313,                                          // while low waits
+      203, 314, 315, 102, 316, 317, 318, 319, 320, 204, 321,  // mid back
+      322, 323, 205, 103, 206, 104, 105};
+  EXPECT_EQ(popped, expected);
+  EXPECT_EQ(queue.size(), 0u);
+}
+
 TEST(FairShareQueue, PushUntilRejectsAlreadyExpiredDeadline) {
-  FairShareQueue<int> queue(4, onePool({1.0}));
+  FairShareQueue<int> queue(4, {1.0});
   const auto past = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   // Room available, deadline already gone: the push must refuse instead of
   // enqueueing work the worker is guaranteed to shed.
@@ -124,7 +131,7 @@ TEST(FairShareQueue, PushUntilRejectsAlreadyExpiredDeadline) {
 }
 
 TEST(FairShareQueue, PushUntilTimesOutWhenFull) {
-  FairShareQueue<int> queue(1, onePool({1.0}));
+  FairShareQueue<int> queue(1, {1.0});
   ASSERT_TRUE(queue.push(1, 0));
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(queue.pushUntil(
@@ -135,7 +142,7 @@ TEST(FairShareQueue, PushUntilTimesOutWhenFull) {
 }
 
 TEST(FairShareQueue, CloseDrainsRemainingItemsThenReturnsNull) {
-  FairShareQueue<int> queue(8, onePool({1.0, 1.0}));
+  FairShareQueue<int> queue(8, {1.0, 1.0});
   ASSERT_TRUE(queue.push(1, 0));
   ASSERT_TRUE(queue.push(2, 1));
   queue.close();
@@ -146,7 +153,7 @@ TEST(FairShareQueue, CloseDrainsRemainingItemsThenReturnsNull) {
 }
 
 TEST(FairShareQueue, BlockedPopWakesOnPush) {
-  FairShareQueue<int> queue(4, onePool({1.0}));
+  FairShareQueue<int> queue(4, {1.0});
   std::optional<int> got;
   std::thread consumer([&] { got = queue.pop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -157,14 +164,14 @@ TEST(FairShareQueue, BlockedPopWakesOnPush) {
 }
 
 TEST(FairShareQueue, ZeroCapacityIsBumpedToOne) {
-  FairShareQueue<int> queue(0, onePool({1.0}));
+  FairShareQueue<int> queue(0, {1.0});
   EXPECT_EQ(queue.capacity(), 1u);
   EXPECT_TRUE(queue.push(7, 0));
   EXPECT_EQ(queue.pop(), 7);
 }
 
 TEST(FairShareQueue, PushBlocksWhenFullUntilPop) {
-  FairShareQueue<int> queue(1, onePool({1.0}));
+  FairShareQueue<int> queue(1, {1.0});
   ASSERT_TRUE(queue.push(1, 0));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
@@ -180,7 +187,7 @@ TEST(FairShareQueue, PushBlocksWhenFullUntilPop) {
 }
 
 TEST(FairShareQueue, CloseWakesBlockedConsumer) {
-  FairShareQueue<int> queue(4, onePool({1.0}));
+  FairShareQueue<int> queue(4, {1.0});
   std::thread consumer([&] { EXPECT_EQ(queue.pop(), std::nullopt); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   queue.close();
@@ -190,7 +197,7 @@ TEST(FairShareQueue, CloseWakesBlockedConsumer) {
 TEST(FairShareQueue, TryPushFailsWhenFullOrClosed) {
   // The transport submit path never blocks: a full queue must refuse at
   // once instead of waiting for a slot, and so must a closed one.
-  FairShareQueue<int> queue(2, onePool({1.0, 1.0}));
+  FairShareQueue<int> queue(2, {1.0, 1.0});
   EXPECT_TRUE(queue.tryPush(1, 0));
   EXPECT_TRUE(queue.tryPush(2, 1));
   EXPECT_FALSE(queue.tryPush(3, 0));  // full: capacity is shared by tenants
@@ -207,7 +214,7 @@ TEST(FairShareQueue, ConcurrentProducersConsumersDeliverEverything) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 3;
   constexpr int kPerProducer = 500;
-  FairShareQueue<int> queue(16, onePool({2.0, 1.0}));
+  FairShareQueue<int> queue(16, {2.0, 1.0});
   std::atomic<long> sum{0};
   std::atomic<int> received{0};
   std::vector<std::thread> threads;

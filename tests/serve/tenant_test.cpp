@@ -10,13 +10,12 @@ namespace resex::serve {
 namespace {
 
 TenantSpec spec(std::string name, double weight = 1.0, double guarantee = 0.0,
-                double burst = 1.0, std::string pool = {}) {
+                double burst = 1.0) {
   TenantSpec s;
   s.name = std::move(name);
   s.weight = weight;
   s.guaranteedShare = guarantee;
   s.burstLimit = burst;
-  s.pool = std::move(pool);
   return s;
 }
 
@@ -46,22 +45,6 @@ TEST(TenantRegistry, IdsAndSloClassDefaults) {
   EXPECT_EQ(registry.idOf("nobody"), std::nullopt);
   EXPECT_EQ(registry.sloClassOf(0), "tenant.interactive");  // defaulted
   EXPECT_EQ(registry.sloClassOf(1), "bulk");                // explicit
-}
-
-TEST(TenantRegistry, BuildsPoolsByNameWithSummedWeights) {
-  const TenantRegistry registry({spec("a", 2.0, 0.0, 1.0, "shared"),
-                                 spec("b", 1.0, 0.0, 1.0, "shared"),
-                                 spec("c", 1.0)});
-  const FairShareTreeSpec& tree = registry.tree();
-  ASSERT_EQ(tree.pools.size(), 2u);
-  EXPECT_EQ(tree.pools[0].name, "shared");
-  EXPECT_DOUBLE_EQ(tree.pools[0].weight, 3.0);  // 2 + 1, member-summed
-  EXPECT_EQ(tree.pools[1].name, "pool.c");      // implicit single-member pool
-  EXPECT_DOUBLE_EQ(tree.pools[1].weight, 1.0);
-  ASSERT_EQ(tree.tenants.size(), 3u);
-  EXPECT_EQ(tree.tenants[0].pool, 0u);
-  EXPECT_EQ(tree.tenants[1].pool, 0u);
-  EXPECT_EQ(tree.tenants[2].pool, 1u);
 }
 
 TEST(TenantRegistry, TokenEntitlementMath) {
